@@ -1,18 +1,15 @@
-//! Out-of-core scale benchmark (the ISSUE-9 tentpole measured end to
-//! end): mine + explain DBLP and Crime at 250k (quick) / 1M (full) rows,
-//! row-oriented vs columnar fit path, then save a v2 snapshot and time
-//! the mmap cold-start relation load against a full owned decode.
+//! Out-of-core scale benchmark: mine + explain DBLP and Crime at 250k
+//! (quick) / 1M (full) rows, then save a v2 snapshot and time the mmap
+//! cold-start relation load against a full owned decode.
 //!
 //! One run per configuration — at these row counts a mine is seconds to
 //! minutes, far above the scheduler-noise regime the smaller benches
 //! guard against with repetition, and the point of this experiment is
 //! that the pipeline *completes* at scale with the expected ratios:
 //!
-//! * `query_regress_speedup` — (query + regression) time, row-oriented ÷
-//!   columnar. The baseline is the full pre-kernel path (materialized
-//!   sorts, per-`Value` fit gather — mine-bench's "off" configuration);
-//!   the columnar side runs every kernel. The bar is ≥ 1.5× for ARP-MINE
-//!   at 100k+ rows.
+//! * `mine_columnar` — ARP-MINE wall, query and regression time (the key
+//!   name predates the removal of the row-oriented mining path and is
+//!   kept so bench-diff aligns new records with old ones).
 //! * `mmap_relation_load_s` vs `owned_decode_s` — the v2 cold-start
 //!   primitive ([`load_relation_v2`]) maps the file and aliases its
 //!   slabs, so its cost is framing + CRC + dictionary decode, while the
@@ -32,7 +29,7 @@ use crate::questions::generate_questions;
 use crate::report::{section, SeriesTable};
 use cape_core::config::MiningConfig;
 use cape_core::explain::{ExplainConfig, TopKExplainer};
-use cape_core::mining::{ArpMiner, Miner, MiningOutput};
+use cape_core::mining::{ArpMiner, Miner};
 use cape_core::prelude::OptimizedExplainer;
 use cape_core::snapshot::{load_relation_v2, read_snapshot_v2, save_snapshot_v2};
 use cape_data::Relation;
@@ -56,43 +53,6 @@ fn base_cfg(exclude: Vec<usize>) -> MiningConfig {
     }
 }
 
-struct MinePhase {
-    wall_s: f64,
-    query_s: f64,
-    regress_s: f64,
-    patterns: usize,
-    peak_rss_bytes: Option<u64>,
-    out: MiningOutput,
-}
-
-fn mine_once(rel: &Relation, cfg: &MiningConfig) -> MinePhase {
-    crate::rss::reset_peak();
-    let out = ArpMiner.mine(rel, cfg).expect("mining");
-    let peak_rss_bytes = crate::rss::peak_rss_bytes();
-    let s = &out.stats;
-    MinePhase {
-        wall_s: s.total_time.as_secs_f64(),
-        query_s: s.query_time.as_secs_f64(),
-        regress_s: s.regression_time.as_secs_f64(),
-        patterns: out.store.len(),
-        peak_rss_bytes,
-        out,
-    }
-}
-
-fn mine_json(m: &MinePhase) -> Json {
-    let mut fields = vec![
-        ("wall_s".into(), Json::Num(m.wall_s)),
-        ("query_s".into(), Json::Num(m.query_s)),
-        ("regress_s".into(), Json::Num(m.regress_s)),
-        ("patterns".into(), Json::Num(m.patterns as f64)),
-    ];
-    if let Some(rss) = m.peak_rss_bytes {
-        fields.push(("peak_rss_bytes".into(), Json::Num(rss as f64)));
-    }
-    Json::Obj(fields)
-}
-
 /// One dataset's full pass; returns the JSON entry and a rendered table.
 fn run_dataset(
     dataset: &str,
@@ -103,39 +63,29 @@ fn run_dataset(
 ) -> (Json, String) {
     let rows = rel.num_rows();
 
-    // --- mine: row-oriented baseline vs columnar kernels ---------------
-    // The baseline is the full pre-kernel data path (same as mine-bench's
-    // "off" configuration): materialized sorts, no lattice roll-up, and
-    // per-`Value` fit gather. The columnar side is the default config —
-    // every kernel on.
-    let row_cfg = MiningConfig {
-        rollup: false,
-        sort_cache: false,
-        columnar_fit: false,
-        ..base_cfg(exclude.clone())
-    };
-    let col_cfg = base_cfg(exclude);
-    eprintln!("  scale-bench: {dataset}/{rows} mining (row-oriented) ...");
-    let row = mine_once(&rel, &row_cfg);
-    eprintln!("  scale-bench: {dataset}/{rows} mining (columnar) ...");
-    let col = mine_once(&rel, &col_cfg);
-    assert_eq!(row.patterns, col.patterns, "fit paths disagree on the mined pattern count");
-    let qr_row = row.query_s + row.regress_s;
-    let qr_col = col.query_s + col.regress_s;
-    let qr_speedup = if qr_col > 0.0 { qr_row / qr_col } else { f64::NAN };
+    // --- mine -----------------------------------------------------------
+    let cfg = base_cfg(exclude);
+    eprintln!("  scale-bench: {dataset}/{rows} mining ...");
+    crate::rss::reset_peak();
+    let mined = ArpMiner.mine(&rel, &cfg).expect("mining");
+    let mine_peak_rss = crate::rss::peak_rss_bytes();
+    let wall_s = mined.stats.total_time.as_secs_f64();
+    let query_s = mined.stats.query_time.as_secs_f64();
+    let regress_s = mined.stats.regression_time.as_secs_f64();
+    let patterns = mined.store.len();
     eprintln!(
-        "  scale-bench: {dataset}/{rows}: row {:.2}s columnar {:.2}s \
-         ({qr_speedup:.2}x query+regress, {} patterns)",
-        row.wall_s, col.wall_s, col.patterns,
+        "  scale-bench: {dataset}/{rows}: mined in {wall_s:.2}s (query+regress {:.2}s, \
+         {patterns} patterns)",
+        query_s + regress_s,
     );
 
-    // --- explain: the question grid against the columnar store --------
+    // --- explain: the question grid against the mined store -----------
     let questions = generate_questions(&rel, question_attrs, QUESTIONS, seed);
     let ecfg = ExplainConfig::default_for(&rel, TOP_K);
     let mut explain_s = 0.0;
     let mut answered = 0usize;
     for q in &questions {
-        let (explanations, s) = OptimizedExplainer.explain(&col.out.store, q, &ecfg);
+        let (explanations, s) = OptimizedExplainer.explain(&mined.store, q, &ecfg);
         explain_s += s.time.as_secs_f64();
         answered += usize::from(!explanations.is_empty());
     }
@@ -148,8 +98,7 @@ fn run_dataset(
     // --- snapshot v2: save, mmap cold-start, owned decode --------------
     let path = std::env::temp_dir().join(format!("cape_scale_{dataset}.cape"));
     let t0 = std::time::Instant::now();
-    let bytes =
-        save_snapshot_v2(&path, rel.schema(), &col_cfg, &col.out.store, &rel).expect("save v2");
+    let bytes = save_snapshot_v2(&path, rel.schema(), &cfg, &mined.store, &rel).expect("save v2");
     let save_s = t0.elapsed().as_secs_f64();
 
     crate::rss::reset_peak();
@@ -165,7 +114,7 @@ fn run_dataset(
     let owned = read_snapshot_v2(&raw).expect("owned decode");
     let owned_decode_s = t0.elapsed().as_secs_f64();
     assert_eq!(owned.relation.num_rows(), rows, "owned relation lost rows");
-    assert_eq!(owned.store.len(), col.patterns, "owned decode lost patterns");
+    assert_eq!(owned.store.len(), patterns, "owned decode lost patterns");
     drop(owned);
     let _ = std::fs::remove_file(&path);
     eprintln!(
@@ -185,13 +134,20 @@ fn run_dataset(
         snapshot_fields.push(("mmap_peak_rss_bytes".into(), Json::Num(rss as f64)));
     }
 
+    let mut mine_fields = vec![
+        ("wall_s".into(), Json::Num(wall_s)),
+        ("query_s".into(), Json::Num(query_s)),
+        ("regress_s".into(), Json::Num(regress_s)),
+        ("patterns".into(), Json::Num(patterns as f64)),
+    ];
+    if let Some(rss) = mine_peak_rss {
+        mine_fields.push(("peak_rss_bytes".into(), Json::Num(rss as f64)));
+    }
     let entry = Json::Obj(vec![
         ("dataset".into(), Json::Str(dataset.into())),
         ("rows".into(), Json::Num(rows as f64)),
         ("miner".into(), Json::Str("ARP-MINE".into())),
-        ("query_regress_speedup".into(), Json::Num(qr_speedup)),
-        ("mine_row".into(), mine_json(&row)),
-        ("mine_columnar".into(), mine_json(&col)),
+        ("mine_columnar".into(), Json::Obj(mine_fields)),
         (
             "explain".into(),
             Json::Obj(vec![
@@ -206,9 +162,8 @@ fn run_dataset(
     let mut table = SeriesTable::new(
         "metric",
         vec![
-            "mine row [s]".into(),
-            "mine columnar [s]".into(),
-            "query+regress speedup".into(),
+            "mine [s]".into(),
+            "query+regress [s]".into(),
             "explain total [s]".into(),
             "v2 save [s]".into(),
             "mmap relation load [s]".into(),
@@ -218,9 +173,8 @@ fn run_dataset(
     table.push_series(
         "value",
         vec![
-            Some(row.wall_s),
-            Some(col.wall_s),
-            Some(qr_speedup),
+            Some(wall_s),
+            Some(query_s + regress_s),
             Some(explain_s),
             Some(save_s),
             Some(mmap_relation_load_s),
@@ -231,7 +185,7 @@ fn run_dataset(
         "{}{} rows, {} patterns\n{}",
         section(&format!("Out-of-core scale: {dataset} @ {rows}")),
         rows,
-        col.patterns,
+        patterns,
         table.render()
     );
     (entry, report)

@@ -603,28 +603,26 @@ fn batch_explain_usage_and_runtime_errors() {
 /// Mine the planted CSV into a binary snapshot and return its path.
 fn mine_snapshot(dir: &Path, csv: &str) -> String {
     let store = dir.join("store.cape").to_string_lossy().into_owned();
-    let out = run(&[
-        "mine",
-        "--csv",
-        csv,
-        "--schema",
-        SCHEMA,
-        "--theta",
-        "0.1",
-        "--delta",
-        "3",
-        "--lambda",
-        "0.3",
-        "--support",
-        "2",
-        "--psi",
-        "3",
-        "--save",
-        &store,
-    ]);
+    save_snapshot(csv, &store, &[]);
+    store
+}
+
+/// `cape mine --save STORE` over the planted-CSV thresholds, plus `extra`.
+fn save_snapshot(csv: &str, store: &str, extra: &[&str]) {
+    let thresholds = ["--theta", "0.1", "--delta", "3", "--lambda", "0.3", "--support", "2"];
+    let mut args = vec!["mine", "--csv", csv, "--schema", SCHEMA, "--psi", "3", "--save", store];
+    args.extend(thresholds.iter().chain(extra));
+    let out = run(&args);
     assert!(out.status.success(), "mine --save failed: {}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("saved"));
-    store
+}
+
+/// Ask the planted question (why so few a0/2005/KDD papers?) of `store`.
+fn explain_planted(csv: &str, store: &str) -> Output {
+    let question = ["--sql", BATCH_SQL, "--tuple", "a0,2005,KDD", "--dir", "low", "--k", "5"];
+    let mut args = vec!["explain", "--csv", csv, "--schema", SCHEMA, "--store", store];
+    args.extend(question);
+    run(&args)
 }
 
 #[test]
@@ -1162,25 +1160,7 @@ fn append_workflow_wal_replay_and_compaction() {
 
     // Read paths replay the WAL: explain over the *base* CSV serves the
     // appended store and still finds the planted counterbalance.
-    let explain = |store: &str| {
-        run(&[
-            "explain",
-            "--csv",
-            &base,
-            "--schema",
-            SCHEMA,
-            "--store",
-            store,
-            "--sql",
-            BATCH_SQL,
-            "--tuple",
-            "a0,2005,KDD",
-            "--dir",
-            "low",
-            "--k",
-            "5",
-        ])
-    };
+    let explain = |store: &str| explain_planted(&base, store);
     let out = explain(&store);
     assert!(out.status.success(), "explain after append: {}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("ICDE"));
@@ -1222,6 +1202,99 @@ fn append_workflow_wal_replay_and_compaction() {
     let out = explain(&store);
     assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stderr).contains("wal"), "untyped wal error");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Drop the per-run timing from `explain` output ("N tuples checked,
+/// 56µs)") so two runs' answers compare byte for byte.
+fn strip_timing(stdout: &[u8]) -> String {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .map(|line| match (line.find("tuples checked,"), line.rfind(')')) {
+            (Some(at), Some(close)) if close > at => {
+                format!("{}tuples checked{}", &line[..at], &line[close..])
+            }
+            _ => line.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// A `--v2` store composes with the incremental path: append, append
+/// with compaction (which keeps the file at v2), explain over the
+/// replayed store — equal to a fresh mine over base + rows — and serve.
+#[test]
+fn v2_store_appends_compacts_explains_and_serves() {
+    let dir = temp_dir("v2append");
+    let full = write_csv(&dir);
+    let text = std::fs::read_to_string(&full).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let (header, data) = (lines[0], &lines[1..]);
+    let (cut1, cut2) = (data.len() - 40, data.len() - 15);
+    let part = |name: &str, rows: &[&str]| {
+        let path = dir.join(name);
+        std::fs::write(&path, format!("{header}\n{}\n", rows.join("\n"))).unwrap();
+        path.to_string_lossy().into_owned()
+    };
+    let base = part("base.csv", &data[..cut1]);
+    let delta1 = part("delta1.csv", &data[cut1..cut2]);
+    let delta2 = part("delta2.csv", &data[cut2..]);
+
+    let version =
+        |store: &str| u32::from_le_bytes(std::fs::read(store).unwrap()[8..12].try_into().unwrap());
+    let store = dir.join("s2.cape").to_string_lossy().into_owned();
+    save_snapshot(&base, &store, &["--v2"]);
+    assert_eq!(version(&store), 2);
+
+    let append = |rows: &str, extra: &[&str]| {
+        let mut args = vec!["append", "--csv", &base, "--schema", SCHEMA, "--store", &store];
+        args.extend(["--rows", rows].iter().chain(extra));
+        let out = run(&args);
+        assert!(out.status.success(), "append failed: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    assert!(append(&delta1, &[]).contains("appended 25 rows"));
+    let text = append(&delta2, &["--compact"]);
+    assert!(text.contains("wal: record 2 committed") && text.contains("compacted"), "{text}");
+    assert_eq!(version(&store), 2, "compaction must keep the snapshot version");
+
+    let explain = |csv: &str, store: &str| {
+        let out = explain_planted(csv, store);
+        assert!(out.status.success(), "explain failed: {}", String::from_utf8_lossy(&out.stderr));
+        strip_timing(&out.stdout)
+    };
+    let fresh = dir.join("fresh.cape").to_string_lossy().into_owned();
+    save_snapshot(&full, &fresh, &[]);
+    let appended = explain(&base, &store);
+    assert!(appended.contains("ICDE"), "planted counterbalance missing:\n{appended}");
+    assert_eq!(appended, explain(&full, &fresh), "appended v2 store differs from a fresh mine");
+
+    // `cape serve` starts on the v2 store with incremental backing.
+    let mut child = cape()
+        .args(["serve", "--listen", "127.0.0.1:0", "--name", "pub", "-q"])
+        .args(["--csv", &base, "--schema", SCHEMA, "--store", &store])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut first = String::new();
+    let stdout = child.stdout.take().unwrap();
+    std::io::BufRead::read_line(&mut std::io::BufReader::new(stdout), &mut first).unwrap();
+    let health = first.trim().strip_prefix("listening on ").map(|addr| {
+        use std::io::Read;
+        let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+        conn.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let mut response = String::new();
+        conn.read_to_string(&mut response).unwrap();
+        response
+    });
+    child.kill().ok();
+    let status = child.wait().unwrap();
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).ok();
+    let health = health.unwrap_or_else(|| panic!("serve did not start ({status}): {stderr}"));
+    assert!(health.starts_with("HTTP/1.1 200"), "healthz: {health}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

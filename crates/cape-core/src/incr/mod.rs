@@ -35,7 +35,10 @@ use crate::mining::candidates::{group_sets, splits_of, Split};
 use crate::mining::fit::{FitOutcome, SplitCandidate};
 use crate::mining::{make_instance, share_grp::build_candidates, validate_config};
 use crate::pattern::Arp;
-use crate::snapshot::{load_snapshot, save_snapshot, schema_fingerprint, SnapshotError};
+use crate::snapshot::{
+    load_snapshot_auto, save_snapshot, save_snapshot_v2, schema_fingerprint, snapshot_version,
+    SnapshotError, FORMAT_VERSION, FORMAT_VERSION_V2,
+};
 use crate::store::{LocalPattern, PatternStore};
 use cape_data::agg::Accumulator;
 use cape_data::{AggFunc, AggSpec, AttrId, Relation, Schema, Value, ValueType};
@@ -145,6 +148,18 @@ struct Durability {
     /// Current on-disk WAL size, maintained incrementally (append adds
     /// the record's bytes, compaction resets to the rewritten file's).
     wal_size: u64,
+    /// Snapshot format version; compaction rewrites in the same one.
+    snapshot_version: u32,
+}
+
+impl Durability {
+    /// Bookkeeping for the snapshot at `store_path` (v1 if there is none
+    /// yet) and its WAL, committed up to `last_seq`.
+    fn new(store_path: PathBuf, wal_path: PathBuf, schema_fp: u64, last_seq: u64) -> Self {
+        let wal_size = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
+        let snapshot_version = snapshot_version(&store_path).unwrap_or(FORMAT_VERSION);
+        Durability { store_path, wal_path, schema_fp, last_seq, wal_size, snapshot_version }
+    }
 }
 
 /// Per-candidate sufficient statistics within one fragment.
@@ -581,8 +596,8 @@ impl IncrStore {
         Ok(incr)
     }
 
-    /// Open a durable store: load the snapshot at `store_path` (for the
-    /// mining configuration and schema check), replay the sidecar WAL
+    /// Open a durable store: load the snapshot at `store_path`, v1 or v2
+    /// (for the mining configuration and schema check), replay the sidecar WAL
     /// over `base`, and rebuild the incremental state over the combined
     /// relation. Creates an empty WAL beside the snapshot if none exists.
     ///
@@ -590,7 +605,7 @@ impl IncrStore {
     /// reordered delta is never installed.
     pub fn open(store_path: impl Into<PathBuf>, base: &Relation) -> Result<Self, IncrError> {
         let store_path = store_path.into();
-        let contents = load_snapshot(&store_path, base)?;
+        let contents = load_snapshot_auto(&store_path, base)?;
         let schema_fp = schema_fingerprint(base.schema());
         let wal_path = wal_path_for(&store_path);
         let arity = base.schema().arity();
@@ -617,15 +632,15 @@ impl IncrStore {
 
         let mut incr = Self::build(relation, contents.config)?;
         incr.delta_rows = delta_rows;
-        let wal_size = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
-        incr.durability = Some(Durability { store_path, wal_path, schema_fp, last_seq, wal_size });
+        incr.durability = Some(Durability::new(store_path, wal_path, schema_fp, last_seq));
         Ok(incr)
     }
 
     /// Attach a snapshot/WAL pair to an in-memory store, creating an
     /// empty WAL beside `store_path` (and refusing a non-empty one — its
     /// rows would not be part of this store's relation). The snapshot
-    /// itself is written by [`IncrStore::compact`] or `save_snapshot`.
+    /// itself is written by [`IncrStore::compact`] or `save_snapshot`, in
+    /// the version of the file already at `store_path` (v1 if none).
     pub fn attach_durability(&mut self, store_path: impl Into<PathBuf>) -> Result<(), IncrError> {
         let store_path = store_path.into();
         let wal_path = wal_path_for(&store_path);
@@ -640,9 +655,7 @@ impl IncrStore {
         } else {
             wal::init_wal(&wal_path, schema_fp, 0)?;
         }
-        let wal_size = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
-        self.durability =
-            Some(Durability { store_path, wal_path, schema_fp, last_seq: 0, wal_size });
+        self.durability = Some(Durability::new(store_path, wal_path, schema_fp, 0));
         Ok(())
     }
 
@@ -722,7 +735,8 @@ impl IncrStore {
     }
 
     /// Fold the WAL into a fresh snapshot: write the current patterns to
-    /// the snapshot path (atomic), then rewrite the WAL as one
+    /// the snapshot path (atomic, in the version it was opened with; a v2
+    /// snapshot embeds the grown relation), then rewrite the WAL as one
     /// consolidated record with the compaction watermark advanced to the
     /// last committed sequence number. A crash between the two writes
     /// leaves a newer snapshot with an older watermark — recovery simply
@@ -730,7 +744,12 @@ impl IncrStore {
     /// (rows never double-apply) just not yet compacted.
     pub fn compact(&mut self) -> Result<(), IncrError> {
         let Some(d) = &mut self.durability else { return Err(IncrError::NotDurable) };
-        save_snapshot(&d.store_path, self.relation.schema(), &self.cfg, &self.store)?;
+        let schema = self.relation.schema();
+        if d.snapshot_version == FORMAT_VERSION_V2 {
+            save_snapshot_v2(&d.store_path, schema, &self.cfg, &self.store, &self.relation)?;
+        } else {
+            save_snapshot(&d.store_path, schema, &self.cfg, &self.store)?;
+        }
         let size = wal::write_compacted(&d.wal_path, d.schema_fp, d.last_seq, &self.delta_rows)?;
         d.wal_size = size;
         cape_obs::counter_add("incr.compactions", 1);
@@ -1036,6 +1055,37 @@ mod tests {
         assert_eq!(after_compact.wal_seq(), Some(1));
         assert_stores_match(&after_compact.store(), &mine_store(&full, &cfg));
         assert_eq!(after_compact.delta_rows().len(), n - cut);
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn v2_snapshot_opens_appends_and_compacts_as_v2() {
+        let dir = std::env::temp_dir().join(format!("cape_incr_v2_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store_path = dir.join("pubs.cape");
+        let full = pubs(6, 8, 2);
+        let cfg = lenient_cfg();
+        let n = full.num_rows();
+        let cut = 3 * n / 4;
+        let base = full.take(&(0..cut).collect::<Vec<_>>());
+
+        let mined = mine_store(&base, &cfg);
+        save_snapshot_v2(&store_path, base.schema(), &cfg, &mined, &base).unwrap();
+        let mut incr = IncrStore::open(&store_path, &base).unwrap();
+        incr.append((cut..n).map(|i| full.row(i)).collect()).unwrap();
+        incr.compact().unwrap();
+
+        // Still v2, and self-consistent: its embedded relation is the grown
+        // one and its patterns are a full mine of it.
+        assert_eq!(snapshot_version(&store_path).unwrap(), FORMAT_VERSION_V2);
+        let v2 = crate::snapshot::load_snapshot_v2(&store_path).unwrap();
+        assert_eq!(v2.relation.num_rows(), n);
+        assert_stores_match(&v2.store, &mine_store(&full, &cfg));
+        // Reopening over the base replays the folded WAL to the same store.
+        let reopened = IncrStore::open(&store_path, &base).unwrap();
+        assert_eq!(reopened.relation().num_rows(), n);
+        assert_stores_match(&reopened.store(), &mine_store(&full, &cfg));
 
         std::fs::remove_dir_all(&dir).ok();
     }

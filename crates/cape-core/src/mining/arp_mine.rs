@@ -5,7 +5,7 @@ use crate::config::MiningConfig;
 use crate::error::Result;
 use crate::group_data::GroupData;
 use crate::mining::candidates::group_sets;
-use crate::mining::fit::{fit_split, fit_split_rows};
+use crate::mining::fit::fit_split;
 use crate::mining::share_grp::build_candidates;
 use crate::mining::{make_instance, record_mining_run, validate_config, Miner, MiningOutput};
 use crate::pattern::Arp;
@@ -47,8 +47,7 @@ impl Miner for ArpMiner {
                 if aggs.is_empty() {
                     continue;
                 }
-                let gd =
-                    Arc::new(GroupData::compute_with_layout(rel, &g, &aggs, cfg.columnar_fit)?);
+                let gd = Arc::new(GroupData::compute(rel, &g, &aggs)?);
                 cape_obs::counter_add("mining.group_queries", 1);
 
                 // Record |π_G(R)| and detect new FDs (detectFDs, Appendix D).
@@ -118,16 +117,7 @@ pub(crate) fn explore_sort_orders(
             perm.iter().map(|&a| gd.col_of_attr(a).expect("attr in G")).collect();
         cape_obs::counter_add("mining.sort_queries", 1);
         let prefix_lens: Vec<usize> = new_fs.iter().map(|f| f.len()).collect();
-        let (sorted_copy, sort_perm) = if cfg.sort_cache {
-            (None, gd.sort_perm_covering(&perm_cols, &prefix_lens, true))
-        } else {
-            // Pre-kernel data path: one materialized `ORDER BY` copy per
-            // useful permutation, scanned in storage order.
-            let sorted = cape_data::ops::sort_by(&gd.relation, &perm_cols);
-            let identity: Arc<Vec<usize>> = Arc::new((0..sorted.num_rows()).collect());
-            (Some(sorted), identity)
-        };
-        let scan: &Relation = sorted_copy.as_ref().unwrap_or(&gd.relation);
+        let sort_perm = gd.sort_perm_covering(&perm_cols, &prefix_lens);
 
         for f in new_fs {
             covered.insert(f.clone());
@@ -139,8 +129,8 @@ pub(crate) fn explore_sort_orders(
             if candidates.is_empty() {
                 continue;
             }
-            let fitter = if cfg.columnar_fit { fit_split } else { fit_split_rows };
-            let outcomes = fitter(scan, &sort_perm, &f_cols, &v_cols, &candidates, &cfg.thresholds);
+            let outcomes =
+                fit_split(&gd.relation, &sort_perm, &f_cols, &v_cols, &candidates, &cfg.thresholds);
             for (cand, outcome) in candidates.iter().zip(outcomes) {
                 if let Some(outcome) = outcome {
                     let arp = Arp::new(

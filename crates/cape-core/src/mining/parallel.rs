@@ -82,7 +82,7 @@ impl Miner for ParallelMiner {
             let fds = fds; // frozen; shared read-only below
 
             // Fan out over a shared work queue: an atomic cursor walks the
-            // planned visit order (parents-first when roll-up is on), so a
+            // planned visit order (parents-first), so a
             // worker stuck on a heavy group set never blocks the rest of
             // the lattice. Each worker attaches the spawning thread's
             // observability context so its spans and counters land in the
@@ -91,7 +91,7 @@ impl Miner for ParallelMiner {
                 index: usize,
                 store: PatternStore,
             }
-            let order = plan_order(&gs, cfg.rollup);
+            let order = plan_order(&gs);
             let cursor = AtomicUsize::new(0);
             let lattice = Mutex::new(LatticeRollup::new(rel.num_rows(), cfg));
             let ctx = cape_obs::ThreadContext::capture();
@@ -117,8 +117,7 @@ impl Miner for ParallelMiner {
                             let mut store = PatternStore::new();
                             let aggs = cfg.resolve_aggs(rel, g);
                             if !aggs.is_empty() {
-                                let gd =
-                                    materialize_group(rel, g, &aggs, lattice, cfg.columnar_fit)?;
+                                let gd = materialize_group(rel, g, &aggs, lattice)?;
                                 explore_sort_orders(rel, cfg, &gd, g, fds, &mut store)?;
                                 gd.clear_sort_cache();
                             }

@@ -109,6 +109,36 @@ impl UserQuestion {
         )))
     }
 
+    /// A deterministic grid of `count(*)` questions over `γ_{group_attrs}`:
+    /// the result rows ranked by count descending (ties by tuple), the top
+    /// `n`, directions alternating Low/High. A pure function of the
+    /// relation (no RNG), so differential suites can pose the same
+    /// questions to two stores.
+    pub fn top_count_grid(
+        rel: &cape_data::Relation,
+        group_attrs: &[AttrId],
+        n: usize,
+    ) -> crate::error::Result<Vec<Self>> {
+        use cape_data::ops::aggregate;
+        use cape_data::AggSpec;
+        let result = aggregate(rel, group_attrs, &[AggSpec::count_star()])?.relation;
+        let agg_col = group_attrs.len();
+        let key_cols: Vec<usize> = (0..agg_col).collect();
+        let count = |row: usize| result.value(row, agg_col).as_f64().unwrap_or(0.0);
+        let mut order: Vec<usize> = (0..result.num_rows()).collect();
+        order.sort_by(|&a, &b| {
+            count(b).total_cmp(&count(a)).then_with(|| {
+                result.row_project(a, &key_cols).cmp(&result.row_project(b, &key_cols))
+            })
+        });
+        let grid = order.iter().take(n).enumerate().map(|(i, &row)| {
+            let tuple = result.row_project(row, &key_cols);
+            let dir = if i % 2 == 0 { Direction::Low } else { Direction::High };
+            UserQuestion::new(group_attrs.to_vec(), AggFunc::Count, None, tuple, count(row), dir)
+        });
+        Ok(grid.collect())
+    }
+
     /// Build a question from a SQL aggregate query of the paper's shape
     /// (`SELECT G, agg(A) FROM R GROUP BY G`, Definition 1) plus the
     /// group-by values of the surprising tuple.

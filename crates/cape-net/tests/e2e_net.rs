@@ -11,8 +11,7 @@ use cape_core::config::{MiningConfig, Thresholds};
 use cape_core::explain::Explanation;
 use cape_core::mining::{ArpMiner, Miner};
 use cape_core::question::{Direction, UserQuestion};
-use cape_data::ops::aggregate;
-use cape_data::{AggFunc, AggSpec, AttrId, Relation, Value};
+use cape_data::{AttrId, Relation, Value};
 use cape_net::registry::StoreRegistry;
 use cape_net::server::{NetConfig, Server};
 use cape_net::testclient::{explain_body, Client};
@@ -23,35 +22,6 @@ use std::sync::Arc;
 const TOP_K: usize = 8;
 const QUESTIONS_PER_DATASET: usize = 24;
 const SCORE_TOL: f64 = 1e-9;
-
-/// The same deterministic grid as `cape-serve/tests/differential.rs`:
-/// rank result rows by count descending (ties by tuple), alternate
-/// Low/High. No RNG.
-fn question_grid(rel: &Relation, group_attrs: &[AttrId], n: usize) -> Vec<UserQuestion> {
-    let result = aggregate(rel, group_attrs, &[AggSpec { func: AggFunc::Count, attr: None }])
-        .expect("count query")
-        .relation;
-    let agg_col = group_attrs.len();
-    let key_cols: Vec<usize> = (0..group_attrs.len()).collect();
-    let mut order: Vec<usize> = (0..result.num_rows()).collect();
-    order.sort_by(|&a, &b| {
-        let ca = result.value(a, agg_col).as_f64().unwrap_or(0.0);
-        let cb = result.value(b, agg_col).as_f64().unwrap_or(0.0);
-        cb.total_cmp(&ca)
-            .then_with(|| result.row_project(a, &key_cols).cmp(&result.row_project(b, &key_cols)))
-    });
-    order
-        .iter()
-        .take(n)
-        .enumerate()
-        .map(|(i, &row)| {
-            let tuple = result.row_project(row, &key_cols);
-            let agg_value = result.value(row, agg_col).as_f64().unwrap_or(0.0);
-            let dir = if i % 2 == 0 { Direction::Low } else { Direction::High };
-            UserQuestion::new(group_attrs.to_vec(), AggFunc::Count, None, tuple, agg_value, dir)
-        })
-        .collect()
-}
 
 struct Dataset {
     name: &'static str,
@@ -76,7 +46,8 @@ fn mine(
     };
     let store = ArpMiner.mine(&rel, &mcfg).expect("mining").store;
     assert!(!store.is_empty(), "{name}: mining found no patterns");
-    let questions = question_grid(&rel, group_attrs, QUESTIONS_PER_DATASET);
+    let questions = UserQuestion::top_count_grid(&rel, group_attrs, QUESTIONS_PER_DATASET)
+        .expect("count query");
     let group_names: Vec<String> = group_attrs
         .iter()
         .map(|&a| rel.schema().attr(a).expect("group attr").name().to_string())
@@ -347,4 +318,32 @@ fn wire_error_payloads() {
     let resp = closing.read_response().expect("response");
     assert_eq!(resp.status, 200);
     assert_eq!(resp.header("connection"), Some("close"));
+}
+
+/// A body nested past `Json::MAX_DEPTH` is the caller's 400, not a stack
+/// overflow that takes the whole server down: one unauthenticated POST of
+/// 200,000 `[` bytes must leave `/healthz` answering.
+#[test]
+fn deeply_nested_body_is_rejected() {
+    let ds = dblp();
+    let registry = Arc::new(StoreRegistry::new());
+    registry.register(ds.name, ds.handle.clone(), ServeConfig::with_threads(1));
+    let server =
+        Server::bind("127.0.0.1:0", Arc::clone(&registry), NetConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    let body = "[".repeat(200_000);
+    let head = format!(
+        "POST /v1/{}/explain HTTP/1.1\r\nHost: cape\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\n\r\n",
+        ds.name,
+        body.len()
+    );
+    client.write_raw(head.as_bytes()).expect("write head");
+    client.write_raw(body.as_bytes()).expect("write body");
+    let resp = client.read_response().expect("response");
+    assert_eq!(resp.status, 400);
+
+    let mut fresh = Client::connect(server.local_addr()).expect("connect after");
+    assert_eq!(fresh.get("/healthz").expect("healthz").status, 200);
 }

@@ -15,8 +15,7 @@ use cape_core::mining::{ArpMiner, Miner};
 use cape_core::question::{Direction, UserQuestion};
 use cape_core::snapshot::save_snapshot;
 use cape_core::store::PatternStore;
-use cape_data::ops::aggregate;
-use cape_data::{AggFunc, AggSpec, AttrId, Relation, Value};
+use cape_data::{AttrId, Relation, Value};
 use cape_net::registry::StoreRegistry;
 use cape_net::server::{NetConfig, Server};
 use cape_net::testclient::{explain_body, Client};
@@ -38,34 +37,6 @@ fn value_to_json(v: &Value) -> Json {
     }
 }
 
-/// Deterministic question grid (count desc, ties by tuple, alternating
-/// directions) — the same recipe as `e2e_net.rs`.
-fn question_grid(rel: &Relation, group_attrs: &[AttrId], n: usize) -> Vec<UserQuestion> {
-    let result = aggregate(rel, group_attrs, &[AggSpec { func: AggFunc::Count, attr: None }])
-        .expect("count query")
-        .relation;
-    let agg_col = group_attrs.len();
-    let key_cols: Vec<usize> = (0..group_attrs.len()).collect();
-    let mut order: Vec<usize> = (0..result.num_rows()).collect();
-    order.sort_by(|&a, &b| {
-        let ca = result.value(a, agg_col).as_f64().unwrap_or(0.0);
-        let cb = result.value(b, agg_col).as_f64().unwrap_or(0.0);
-        cb.total_cmp(&ca)
-            .then_with(|| result.row_project(a, &key_cols).cmp(&result.row_project(b, &key_cols)))
-    });
-    order
-        .iter()
-        .take(n)
-        .enumerate()
-        .map(|(i, &row)| {
-            let tuple = result.row_project(row, &key_cols);
-            let agg_value = result.value(row, agg_col).as_f64().unwrap_or(0.0);
-            let dir = if i % 2 == 0 { Direction::Low } else { Direction::High };
-            UserQuestion::new(group_attrs.to_vec(), AggFunc::Count, None, tuple, agg_value, dir)
-        })
-        .collect()
-}
-
 struct Dataset {
     name: &'static str,
     rel: Arc<Relation>,
@@ -83,7 +54,7 @@ fn mine(name: &'static str, rel: Relation, group: &[AttrId], exclude: Vec<AttrId
     };
     let store = ArpMiner.mine(&rel, &mcfg).expect("mining").store;
     assert!(!store.is_empty(), "{name}: mining found no patterns");
-    let questions = question_grid(&rel, group, 12);
+    let questions = UserQuestion::top_count_grid(&rel, group, 12).expect("count query");
     let cols: Vec<String> = group
         .iter()
         .map(|&a| rel.schema().attr(a).expect("group attr").name().to_string())
@@ -280,7 +251,7 @@ fn summaries_come_from_the_requests_epoch() {
     use cape_datagen::dblp::{attrs, generate, DblpConfig};
     let rel = generate(&DblpConfig::with_rows(3000));
     let group = [attrs::AUTHOR, attrs::YEAR, attrs::VENUE];
-    let question = question_grid(&rel, &group, 1).remove(0);
+    let question = UserQuestion::top_count_grid(&rel, &group, 1).expect("count query").remove(0);
     let sql = "SELECT author, year, venue, count(*) FROM dblp GROUP BY author, year, venue";
 
     let mine_with = |thresholds: Thresholds, psi: usize| -> (MiningConfig, PatternStore) {

@@ -24,6 +24,12 @@ pub enum Json {
 }
 
 impl Json {
+    /// Deepest array/object nesting [`Json::parse`] accepts. The parser
+    /// recurses once per level, so without a cap a request body of a few
+    /// hundred kilobytes of `[` overflows the thread's stack. Far above
+    /// any document this workspace writes.
+    pub const MAX_DEPTH: usize = 256;
+
     /// Object field lookup (first match).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -77,9 +83,10 @@ impl Json {
         }
     }
 
-    /// Parse a JSON document.
+    /// Parse a JSON document. Nesting deeper than [`Json::MAX_DEPTH`] is
+    /// an error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -147,6 +154,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -184,8 +193,16 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == Json::MAX_DEPTH {
+                    let (max, pos) = (Json::MAX_DEPTH, self.pos);
+                    return Err(format!("nesting deeper than {max} at byte {pos}"));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -337,6 +354,20 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nested(Json::MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(Json::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Far past the cap, unterminated, and mixed with objects: an error,
+        // not a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&r#"{"a":"#.repeat(200_000)).is_err());
+        let mixed = format!("{}1{}", r#"{"k":["#.repeat(128), "]}".repeat(128));
+        assert!(Json::parse(&mixed).is_ok());
     }
 
     #[test]

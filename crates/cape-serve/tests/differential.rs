@@ -17,45 +17,14 @@ use cape_core::config::MiningConfig;
 use cape_core::explain::{ExplainConfig, Explanation};
 use cape_core::mining::{ArpMiner, Miner};
 use cape_core::prelude::{NaiveExplainer, OptimizedExplainer, TopKExplainer};
-use cape_core::question::{Direction, UserQuestion};
+use cape_core::question::UserQuestion;
 use cape_core::store::PatternStore;
-use cape_data::ops::aggregate;
-use cape_data::{AggFunc, AggSpec, AttrId, Relation};
+use cape_data::Relation;
 use cape_serve::{DrillCache, ExplainRequest, ExplainService, PatternStoreHandle, ServeConfig};
 
 const TOP_K: usize = 8;
 const QUESTIONS_PER_DATASET: usize = 24;
 const SCORE_TOL: f64 = 1e-9;
-
-/// A deterministic grid of questions: group by `group_attrs`, rank the
-/// result rows by count descending (ties broken by tuple values), take
-/// the top `n` with alternating High/Low directions. No RNG — the grid is
-/// a pure function of the relation.
-fn question_grid(rel: &Relation, group_attrs: &[AttrId], n: usize) -> Vec<UserQuestion> {
-    let result = aggregate(rel, group_attrs, &[AggSpec { func: AggFunc::Count, attr: None }])
-        .expect("count query")
-        .relation;
-    let agg_col = group_attrs.len();
-    let key_cols: Vec<usize> = (0..group_attrs.len()).collect();
-    let mut order: Vec<usize> = (0..result.num_rows()).collect();
-    order.sort_by(|&a, &b| {
-        let ca = result.value(a, agg_col).as_f64().unwrap_or(0.0);
-        let cb = result.value(b, agg_col).as_f64().unwrap_or(0.0);
-        cb.total_cmp(&ca)
-            .then_with(|| result.row_project(a, &key_cols).cmp(&result.row_project(b, &key_cols)))
-    });
-    order
-        .iter()
-        .take(n)
-        .enumerate()
-        .map(|(i, &row)| {
-            let tuple = result.row_project(row, &key_cols);
-            let agg_value = result.value(row, agg_col).as_f64().unwrap_or(0.0);
-            let dir = if i % 2 == 0 { Direction::Low } else { Direction::High };
-            UserQuestion::new(group_attrs.to_vec(), AggFunc::Count, None, tuple, agg_value, dir)
-        })
-        .collect()
-}
 
 fn assert_identical(label: &str, qi: usize, reference: &[Explanation], got: &[Explanation]) {
     assert_eq!(
@@ -172,7 +141,7 @@ fn dblp_grid_all_strategies_agree() {
     mcfg.exclude = vec![cape_datagen::dblp::attrs::PUBID];
     let store = ArpMiner.mine(&rel, &mcfg).expect("mining").store;
     assert!(!store.is_empty(), "DBLP mining found no patterns");
-    let questions = question_grid(
+    let questions = UserQuestion::top_count_grid(
         &rel,
         &[
             cape_datagen::dblp::attrs::AUTHOR,
@@ -180,7 +149,8 @@ fn dblp_grid_all_strategies_agree() {
             cape_datagen::dblp::attrs::VENUE,
         ],
         QUESTIONS_PER_DATASET,
-    );
+    )
+    .expect("count query");
     run_matrix("dblp", rel, store, questions);
 }
 
@@ -194,7 +164,7 @@ fn crime_grid_all_strategies_agree() {
     };
     let store = ArpMiner.mine(&rel, &mcfg).expect("mining").store;
     assert!(!store.is_empty(), "Crime mining found no patterns");
-    let questions = question_grid(
+    let questions = UserQuestion::top_count_grid(
         &rel,
         &[
             cape_datagen::crime::attrs::PRIMARY_TYPE,
@@ -202,7 +172,8 @@ fn crime_grid_all_strategies_agree() {
             cape_datagen::crime::attrs::YEAR,
         ],
         QUESTIONS_PER_DATASET,
-    );
+    )
+    .expect("count query");
     run_matrix("crime", rel, store, questions);
 }
 
@@ -219,11 +190,12 @@ fn heterogeneous_requests_match_sequential() {
     };
     mcfg.exclude = vec![cape_datagen::dblp::attrs::PUBID];
     let store = ArpMiner.mine(&rel, &mcfg).expect("mining").store;
-    let questions = question_grid(
+    let questions = UserQuestion::top_count_grid(
         &rel,
         &[cape_datagen::dblp::attrs::AUTHOR, cape_datagen::dblp::attrs::YEAR],
         10,
-    );
+    )
+    .expect("count query");
     let handle = PatternStoreHandle::new(rel, store);
     let service = ExplainService::start(handle.clone(), ServeConfig::with_threads(3));
     let reqs: Vec<ExplainRequest> = questions

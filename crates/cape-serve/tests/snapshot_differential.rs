@@ -13,43 +13,14 @@ use cape_core::config::MiningConfig;
 use cape_core::explain::{ExplainConfig, Explanation};
 use cape_core::mining::{ArpMiner, Miner};
 use cape_core::prelude::{OptimizedExplainer, TopKExplainer};
-use cape_core::question::{Direction, UserQuestion};
+use cape_core::question::UserQuestion;
 use cape_core::snapshot;
-use cape_data::ops::aggregate;
-use cape_data::{AggFunc, AggSpec, AttrId, Relation};
+use cape_data::Relation;
 use cape_serve::{ExplainRequest, ExplainService, PatternStoreHandle, ServeConfig};
 
 const TOP_K: usize = 8;
 const QUESTIONS_PER_DATASET: usize = 16;
 const SCORE_TOL: f64 = 1e-9;
-
-/// Same deterministic grid as `tests/differential.rs`: rank the count
-/// query's rows descending, alternate High/Low directions.
-fn question_grid(rel: &Relation, group_attrs: &[AttrId], n: usize) -> Vec<UserQuestion> {
-    let result = aggregate(rel, group_attrs, &[AggSpec { func: AggFunc::Count, attr: None }])
-        .expect("count query")
-        .relation;
-    let agg_col = group_attrs.len();
-    let key_cols: Vec<usize> = (0..group_attrs.len()).collect();
-    let mut order: Vec<usize> = (0..result.num_rows()).collect();
-    order.sort_by(|&a, &b| {
-        let ca = result.value(a, agg_col).as_f64().unwrap_or(0.0);
-        let cb = result.value(b, agg_col).as_f64().unwrap_or(0.0);
-        cb.total_cmp(&ca)
-            .then_with(|| result.row_project(a, &key_cols).cmp(&result.row_project(b, &key_cols)))
-    });
-    order
-        .iter()
-        .take(n)
-        .enumerate()
-        .map(|(i, &row)| {
-            let tuple = result.row_project(row, &key_cols);
-            let agg_value = result.value(row, agg_col).as_f64().unwrap_or(0.0);
-            let dir = if i % 2 == 0 { Direction::Low } else { Direction::High };
-            UserQuestion::new(group_attrs.to_vec(), AggFunc::Count, None, tuple, agg_value, dir)
-        })
-        .collect()
-}
 
 fn assert_identical(label: &str, qi: usize, reference: &[Explanation], got: &[Explanation]) {
     assert_eq!(reference.len(), got.len(), "{label}: question {qi}: lengths differ");
@@ -125,7 +96,7 @@ fn dblp_snapshot_roundtrip_is_bit_identical() {
         ..MiningConfig::default()
     };
     mcfg.exclude = vec![cape_datagen::dblp::attrs::PUBID];
-    let questions = question_grid(
+    let questions = UserQuestion::top_count_grid(
         &rel,
         &[
             cape_datagen::dblp::attrs::AUTHOR,
@@ -133,7 +104,8 @@ fn dblp_snapshot_roundtrip_is_bit_identical() {
             cape_datagen::dblp::attrs::VENUE,
         ],
         QUESTIONS_PER_DATASET,
-    );
+    )
+    .expect("count query");
     run_snapshot_matrix("dblp", rel, &mcfg, questions);
 }
 
@@ -145,7 +117,7 @@ fn crime_snapshot_roundtrip_is_bit_identical() {
         psi: 3,
         ..MiningConfig::default()
     };
-    let questions = question_grid(
+    let questions = UserQuestion::top_count_grid(
         &rel,
         &[
             cape_datagen::crime::attrs::PRIMARY_TYPE,
@@ -153,7 +125,8 @@ fn crime_snapshot_roundtrip_is_bit_identical() {
             cape_datagen::crime::attrs::YEAR,
         ],
         QUESTIONS_PER_DATASET,
-    );
+    )
+    .expect("count query");
     run_snapshot_matrix("crime", rel, &mcfg, questions);
 }
 

@@ -1,260 +1,59 @@
 //! Mining differential suite: every miner variant produces the same
-//! pattern store, with the columnar kernels (lattice roll-up + sort
-//! permutation cache) on *and* off.
+//! pattern store.
 //!
-//! For each dataset (synthetic DBLP and Crime samples) and kernel toggle,
-//! assert that
-//!
-//! * `NaiveMiner` (one query per candidate, the reference semantics),
-//! * `ShareGrpMiner` (one query per `F ∪ V`),
-//! * `CubeMiner` (a single cube query),
-//! * `ParallelMiner { threads: 1 }` and `ParallelMiner { threads: 4 }`
-//!
-//! mine the *same* ARP set, and that every local pattern agrees on its
-//! fitted model parameters, goodness of fit, support, and deviation
-//! bounds to 1e-9 — the tolerance absorbing float summation-order
-//! differences between roll-up derivation and base scans.
+//! For each dataset (synthetic DBLP and Crime samples, and a repetitive
+//! relation on which lattice roll-up fires), assert that `NaiveMiner`
+//! (one query per candidate, the reference semantics), `ShareGrpMiner`
+//! (one query per `F ∪ V`), `CubeMiner` (a single cube query),
+//! `ArpMiner` and `ParallelMiner { threads: 1 | 4 }` mine the *same*
+//! ARPs, and that every local pattern agrees on its fitted model
+//! parameters, goodness of fit, support, sample count and deviation
+//! bounds to 1e-9. The stores themselves are pinned against frozen
+//! fixtures by `mining_golden.rs`.
 
-use cape::core::config::{AggSelection, MiningConfig, Thresholds};
-use cape::core::mining::{
-    CubeMiner, Miner, MiningOutput, NaiveMiner, ParallelMiner, ShareGrpMiner,
-};
-use cape::data::{Relation, Schema, Value, ValueType};
-use cape::datagen::{crime, dblp, CrimeConfig, DblpConfig};
-use cape::regress::Model;
-use std::collections::BTreeMap;
+mod common;
 
-const TOL: f64 = 1e-9;
+use cape::core::mining::{ArpMiner, Miner, NaiveMiner, ShareGrpMiner};
+use common::{assert_matches, in_order_of, input, miners, repetitive};
 
-fn dblp_sample() -> Relation {
-    dblp::generate(&DblpConfig { target_rows: 1_500, ..DblpConfig::default() })
-}
-
-fn crime_sample() -> Relation {
-    crime::generate(&CrimeConfig { target_rows: 1_000, ..CrimeConfig::default() })
-}
-
-/// A highly repetitive relation: the apex group-by (author × year ×
-/// venue) has far fewer groups than the base has rows, so the roll-up
-/// cost guard (parent ≤ 2/3 of the base row count) admits the apex as a
-/// roll-up source and the lattice kernels genuinely fire.
-fn repetitive_sample() -> Relation {
-    let schema = Schema::new([
-        ("author", ValueType::Str),
-        ("year", ValueType::Int),
-        ("venue", ValueType::Str),
-        ("cites", ValueType::Int),
-    ])
-    .unwrap();
-    let mut rel = Relation::new(schema);
-    for a in 0..12 {
-        for y in 0..8 {
-            for p in 0..4 {
-                rel.push_row(vec![
-                    Value::str(format!("a{a}")),
-                    Value::Int(2000 + y),
-                    Value::str(if p % 2 == 0 { "KDD" } else { "ICDE" }),
-                    Value::Int((a * 7 + y * 3 + p) % 11),
-                ])
-                .unwrap();
-            }
-        }
-    }
-    rel
-}
-
-fn repetitive_cfg(kernels: bool) -> MiningConfig {
-    MiningConfig {
-        thresholds: Thresholds::new(0.15, 4, 0.3, 3),
-        psi: 3,
-        aggs: AggSelection::AllNumeric,
-        rollup: kernels,
-        sort_cache: kernels,
-        ..MiningConfig::default()
-    }
-}
-
-fn dblp_cfg(kernels: bool) -> MiningConfig {
-    MiningConfig {
-        thresholds: Thresholds::new(0.15, 4, 0.3, 3),
-        psi: 3,
-        // Sum/min/max over `year` exercise the non-count roll-up
-        // derivations inside the miners.
-        aggs: AggSelection::AllNumeric,
-        exclude: vec![dblp::attrs::PUBID],
-        rollup: kernels,
-        sort_cache: kernels,
-        ..MiningConfig::default()
-    }
-}
-
-fn crime_cfg(kernels: bool) -> MiningConfig {
-    MiningConfig {
-        thresholds: Thresholds::new(0.15, 4, 0.3, 3),
-        psi: 3,
-        // Keep the first four attributes (the core of the paper's crime
-        // queries) so the 5-way × 2-toggle grid stays fast.
-        exclude: (4..crime::N_ATTRS).collect(),
-        rollup: kernels,
-        sort_cache: kernels,
-        ..MiningConfig::default()
-    }
-}
-
-fn model_params(m: &Model) -> Vec<f64> {
-    match m {
-        Model::Constant { beta } => vec![*beta],
-        Model::Linear { intercept, coefs } => {
-            let mut p = vec![*intercept];
-            p.extend_from_slice(coefs);
-            p
-        }
-        Model::Quadratic { intercept, lin, quad } => {
-            let mut p = vec![*intercept];
-            p.extend_from_slice(lin);
-            p.extend_from_slice(quad);
-            p
-        }
-    }
-}
-
-/// One local pattern, flattened to comparable numbers.
-#[derive(Debug)]
-struct LocalCanon {
-    support: usize,
-    n: usize,
-    gof: f64,
-    max_pos_dev: f64,
-    max_neg_dev: f64,
-    params: Vec<f64>,
-}
-
-/// One global pattern: confidence/support plus its locals keyed by the
-/// partition tuple's debug rendering (deterministic for our `Value`).
-#[derive(Debug)]
-struct ArpCanon {
-    confidence: f64,
-    num_supported: usize,
-    locals: BTreeMap<String, LocalCanon>,
-}
-
-fn canonicalize(out: &MiningOutput, rel: &Relation) -> BTreeMap<String, ArpCanon> {
-    let mut map = BTreeMap::new();
-    for (_, p) in out.store.iter() {
-        let mut locals = BTreeMap::new();
-        for (key, local) in &p.locals {
-            locals.insert(
-                format!("{key:?}"),
-                LocalCanon {
-                    support: local.support,
-                    n: local.fitted.n,
-                    gof: local.fitted.gof,
-                    max_pos_dev: local.max_pos_dev,
-                    max_neg_dev: local.max_neg_dev,
-                    params: model_params(&local.fitted.model),
-                },
-            );
-        }
-        let prev = map.insert(
-            p.arp.display(rel.schema()),
-            ArpCanon { confidence: p.confidence, num_supported: p.num_supported, locals },
-        );
-        assert!(prev.is_none(), "duplicate ARP in one store");
-    }
-    map
-}
-
-fn assert_close(a: f64, b: f64, what: &str) {
-    assert!((a - b).abs() <= TOL, "{what}: {a} vs {b} (|diff| = {})", (a - b).abs());
-}
-
-fn assert_equiv(
-    reference: &BTreeMap<String, ArpCanon>,
-    out: &MiningOutput,
-    rel: &Relation,
-    label: &str,
-) {
-    let got = canonicalize(out, rel);
-    let ref_keys: Vec<&String> = reference.keys().collect();
-    let got_keys: Vec<&String> = got.keys().collect();
-    assert_eq!(ref_keys, got_keys, "{label}: ARP sets differ");
-    for (arp, a) in reference {
-        let b = &got[arp];
-        assert_close(a.confidence, b.confidence, &format!("{label}/{arp}: confidence"));
-        assert_eq!(a.num_supported, b.num_supported, "{label}/{arp}: num_supported");
-        let la: Vec<&String> = a.locals.keys().collect();
-        let lb: Vec<&String> = b.locals.keys().collect();
-        assert_eq!(la, lb, "{label}/{arp}: local keys differ");
-        for (key, x) in &a.locals {
-            let y = &b.locals[key];
-            let ctx = format!("{label}/{arp}/{key}");
-            assert_eq!(x.support, y.support, "{ctx}: support");
-            assert_eq!(x.n, y.n, "{ctx}: sample count");
-            assert_close(x.gof, y.gof, &format!("{ctx}: gof"));
-            assert_close(x.max_pos_dev, y.max_pos_dev, &format!("{ctx}: max_pos_dev"));
-            assert_close(x.max_neg_dev, y.max_neg_dev, &format!("{ctx}: max_neg_dev"));
-            assert_eq!(x.params.len(), y.params.len(), "{ctx}: model arity");
-            for (i, (pa, pb)) in x.params.iter().zip(&y.params).enumerate() {
-                assert_close(*pa, *pb, &format!("{ctx}: model param {i}"));
-            }
-        }
-    }
-}
-
-fn run_grid(rel: &Relation, cfg_of: impl Fn(bool) -> MiningConfig, dataset: &str) {
-    // The kernels-off naive run is the reference semantics; everything —
-    // including the kernels-on naive run — must match it.
-    let reference = canonicalize(&NaiveMiner.mine(rel, &cfg_of(false)).unwrap(), rel);
-    assert!(!reference.is_empty(), "{dataset}: no patterns mined — the grid proves nothing");
-    for kernels in [false, true] {
-        let cfg = cfg_of(kernels);
-        let miners: Vec<(&str, Box<dyn Miner>)> = vec![
-            ("NAIVE", Box::new(NaiveMiner)),
-            ("SHARE-GRP", Box::new(ShareGrpMiner)),
-            ("CUBE", Box::new(CubeMiner)),
-            ("PAR-1", Box::new(ParallelMiner { threads: 1 })),
-            ("PAR-4", Box::new(ParallelMiner { threads: 4 })),
-        ];
-        for (name, miner) in miners {
-            let out = miner.mine(rel, &cfg).unwrap();
-            let label = format!("{dataset}/kernels={kernels}/{name}");
-            assert_equiv(&reference, &out, rel, &label);
-        }
+fn run_grid(name: &str) {
+    let (rel, cfg) = input(name);
+    let reference = NaiveMiner.mine(&rel, &cfg).unwrap().store;
+    assert!(!reference.is_empty(), "{name}: no patterns mined — the grid proves nothing");
+    for (miner_name, miner, split_order) in miners() {
+        let got = miner.mine(&rel, &cfg).unwrap().store;
+        let got = if split_order { got } else { in_order_of(&reference, &got) };
+        assert_matches(&format!("{name}/{miner_name}"), &reference, &got, true);
     }
 }
 
 #[test]
 fn dblp_five_way_differential() {
-    let rel = dblp_sample();
-    run_grid(&rel, dblp_cfg, "dblp");
+    run_grid("dblp_1500");
 }
 
 #[test]
 fn crime_five_way_differential() {
-    let rel = crime_sample();
-    run_grid(&rel, crime_cfg, "crime");
+    run_grid("crime_1000");
 }
 
 #[test]
 fn repetitive_five_way_differential() {
-    let rel = repetitive_sample();
-    run_grid(&rel, repetitive_cfg, "repetitive");
+    run_grid("repetitive");
 }
 
 /// The kernels must actually fire on this workload — otherwise the
-/// differential grid silently degenerates into comparing identical
-/// code paths.
+/// roll-up and sort-cache code would go untested by the grid.
 #[test]
 fn kernels_are_exercised() {
-    let rel = repetitive_sample();
-    let out = ShareGrpMiner.mine(&rel, &repetitive_cfg(true)).unwrap();
+    let (rel, cfg) = repetitive();
+    let out = ShareGrpMiner.mine(&rel, &cfg).unwrap();
     assert!(out.stats.rollup_hits > 0, "roll-up never fired");
     assert!(out.stats.sort_cache_hits > 0, "sort cache never hit");
     assert!(out.stats.scan_rows_saved > 0, "no scan rows saved");
-    let off = ShareGrpMiner.mine(&rel, &repetitive_cfg(false)).unwrap();
-    assert_eq!(off.stats.rollup_hits, 0);
-    assert_eq!(off.stats.sort_cache_hits, 0);
-    assert_eq!(off.stats.scan_rows_saved, 0);
-    // Roll-up replaces base scans: strictly fewer group queries.
-    assert!(out.stats.group_queries < off.stats.group_queries);
+    // ARP-MINE scans the base once per group set; roll-up replaces some
+    // of those scans, so SHARE-GRP issues strictly fewer group queries.
+    let scans = ArpMiner.mine(&rel, &cfg).unwrap();
+    assert_eq!(scans.stats.rollup_hits, 0);
+    assert!(out.stats.group_queries < scans.stats.group_queries);
 }
