@@ -255,7 +255,7 @@ fn read_patterns(
             let store = std::sync::Arc::try_unwrap(store).unwrap_or_else(|arc| (*arc).clone());
             return Ok((replayed, store));
         }
-        let loaded = snapshot::load_snapshot_auto(path, &rel).map_err(|e| match e {
+        let loaded = snapshot::load_snapshot(path, &rel).map_err(|e| match e {
             SnapshotError::Io(m) => runtime(format!("cannot read store {path}: {m}")),
             other => CliError::Store(format!("store file {path} rejected: {other}")),
         })?;

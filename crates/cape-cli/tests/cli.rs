@@ -741,6 +741,37 @@ fn corrupt_store_files_exit_3_with_typed_stderr() {
     assert_eq!(code, Some(3), "truncated: {stderr}");
     assert!(stderr.contains("truncated"), "stderr: {stderr}");
 
+    // Five bytes that are not a magic prefix → bad magic, not truncated.
+    let p = write_variant("short.cape", b"hello");
+    let (code, stderr) = explain_with(&p, SCHEMA);
+    assert_eq!(code, Some(3), "short file: {stderr}");
+    assert!(stderr.contains("bad magic"), "stderr: {stderr}");
+
+    // Every CRC valid, but the first pattern's V is its F (F ∩ V ≠ ∅):
+    // the pattern decoder rejects it instead of panicking.
+    let hostile = cape_core::snapshot::inject::rewrite_section(&bytes, "patterns", |p| {
+        assert_eq!(p[4..8], 1u32.to_le_bytes(), "first pattern has one F attribute");
+        let f = p[8..12].to_vec();
+        p[16..20].copy_from_slice(&f);
+    });
+    let p = write_variant("overlap.cape", &hostile);
+    let (code, stderr) = explain_with(&p, SCHEMA);
+    assert_eq!(code, Some(3), "overlapping F and V: {stderr}");
+    assert!(stderr.contains("section corrupt: patterns"), "stderr: {stderr}");
+
+    // The same pattern in the text format is a runtime error (exit 1).
+    let text = mined_patterns(&dir, &csv);
+    let mut lines: Vec<String> =
+        std::fs::read_to_string(&text).unwrap().lines().map(String::from).collect();
+    let f = lines[1].split(' ').nth(1).unwrap().strip_prefix("f=").unwrap().to_string();
+    let v = lines[1].split(' ').nth(2).unwrap().to_string();
+    lines[1] = lines[1].replacen(&v, &format!("v={f}"), 1);
+    std::fs::write(&text, lines.join("\n")).unwrap();
+    let out = run(&["patterns", "--csv", &csv, "--schema", SCHEMA, "--patterns", &text]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "overlapping F and V in text: {stderr}");
+    assert!(stderr.contains("line 2") && stderr.contains("disjoint"), "stderr: {stderr}");
+
     // Valid file, different schema → schema mismatch.
     let (code, stderr) = explain_with(&store, "author:str,year:str,venue:str");
     assert_eq!(code, Some(3), "schema: {stderr}");

@@ -36,8 +36,8 @@ use crate::mining::fit::{FitOutcome, SplitCandidate};
 use crate::mining::{make_instance, share_grp::build_candidates, validate_config};
 use crate::pattern::Arp;
 use crate::snapshot::{
-    load_snapshot_auto, save_snapshot, save_snapshot_v2, schema_fingerprint, snapshot_version,
-    SnapshotError, FORMAT_VERSION, FORMAT_VERSION_V2,
+    load_snapshot, save_snapshot, save_snapshot_v2, schema_fingerprint, SnapshotError,
+    FORMAT_VERSION_V2,
 };
 use crate::store::{LocalPattern, PatternStore};
 use cape_data::agg::Accumulator;
@@ -150,16 +150,6 @@ struct Durability {
     wal_size: u64,
     /// Snapshot format version; compaction rewrites in the same one.
     snapshot_version: u32,
-}
-
-impl Durability {
-    /// Bookkeeping for the snapshot at `store_path` (v1 if there is none
-    /// yet) and its WAL, committed up to `last_seq`.
-    fn new(store_path: PathBuf, wal_path: PathBuf, schema_fp: u64, last_seq: u64) -> Self {
-        let wal_size = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
-        let snapshot_version = snapshot_version(&store_path).unwrap_or(FORMAT_VERSION);
-        Durability { store_path, wal_path, schema_fp, last_seq, wal_size, snapshot_version }
-    }
 }
 
 /// Per-candidate sufficient statistics within one fragment.
@@ -605,7 +595,7 @@ impl IncrStore {
     /// reordered delta is never installed.
     pub fn open(store_path: impl Into<PathBuf>, base: &Relation) -> Result<Self, IncrError> {
         let store_path = store_path.into();
-        let contents = load_snapshot_auto(&store_path, base)?;
+        let contents = load_snapshot(&store_path, base)?;
         let schema_fp = schema_fingerprint(base.schema());
         let wal_path = wal_path_for(&store_path);
         let arity = base.schema().arity();
@@ -632,31 +622,15 @@ impl IncrStore {
 
         let mut incr = Self::build(relation, contents.config)?;
         incr.delta_rows = delta_rows;
-        incr.durability = Some(Durability::new(store_path, wal_path, schema_fp, last_seq));
+        incr.durability = Some(Durability {
+            wal_size: std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0),
+            store_path,
+            wal_path,
+            schema_fp,
+            last_seq,
+            snapshot_version: contents.version,
+        });
         Ok(incr)
-    }
-
-    /// Attach a snapshot/WAL pair to an in-memory store, creating an
-    /// empty WAL beside `store_path` (and refusing a non-empty one — its
-    /// rows would not be part of this store's relation). The snapshot
-    /// itself is written by [`IncrStore::compact`] or `save_snapshot`, in
-    /// the version of the file already at `store_path` (v1 if none).
-    pub fn attach_durability(&mut self, store_path: impl Into<PathBuf>) -> Result<(), IncrError> {
-        let store_path = store_path.into();
-        let wal_path = wal_path_for(&store_path);
-        let schema_fp = schema_fingerprint(self.relation.schema());
-        if let Some(replay) = wal::load_wal(&wal_path, schema_fp, self.relation.schema().arity())? {
-            if !replay.batches.is_empty() || replay.folded_seq != 0 {
-                return Err(IncrError::Config(format!(
-                    "refusing to attach existing non-empty WAL {}",
-                    wal_path.display()
-                )));
-            }
-        } else {
-            wal::init_wal(&wal_path, schema_fp, 0)?;
-        }
-        self.durability = Some(Durability::new(store_path, wal_path, schema_fp, 0));
-        Ok(())
     }
 
     /// Append a batch of rows. The batch is committed to the WAL (fsync'd)
@@ -1078,8 +1052,7 @@ mod tests {
 
         // Still v2, and self-consistent: its embedded relation is the grown
         // one and its patterns are a full mine of it.
-        assert_eq!(snapshot_version(&store_path).unwrap(), FORMAT_VERSION_V2);
-        let v2 = crate::snapshot::load_snapshot_v2(&store_path).unwrap();
+        let v2 = crate::snapshot::load_snapshot_v2(&store_path).expect("still a v2 file");
         assert_eq!(v2.relation.num_rows(), n);
         assert_stores_match(&v2.store, &mine_store(&full, &cfg));
         // Reopening over the base replays the folded WAL to the same store.

@@ -36,15 +36,34 @@ impl Arp {
         agg_attr: Option<AttrId>,
         model: ModelType,
     ) -> Self {
+        Self::try_new(f, v, agg, agg_attr, model).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Arp::new`] for untrusted input, such as a store file: a broken
+    /// Definition 2 invariant is returned as its description instead of
+    /// panicking.
+    pub(crate) fn try_new(
+        f: impl IntoIterator<Item = AttrId>,
+        v: impl IntoIterator<Item = AttrId>,
+        agg: AggFunc,
+        agg_attr: Option<AttrId>,
+        model: ModelType,
+    ) -> Result<Self, &'static str> {
         let f: BTreeSet<AttrId> = f.into_iter().collect();
         let v: BTreeSet<AttrId> = v.into_iter().collect();
-        assert!(!f.is_empty(), "ARP requires non-empty F");
-        assert!(!v.is_empty(), "ARP requires non-empty V");
-        assert!(f.is_disjoint(&v), "F and V must be disjoint");
-        if let Some(a) = agg_attr {
-            assert!(!f.contains(&a) && !v.contains(&a), "A must not be in F ∪ V");
+        if f.is_empty() {
+            return Err("ARP requires non-empty F");
         }
-        Arp { f: f.into_iter().collect(), v: v.into_iter().collect(), agg, agg_attr, model }
+        if v.is_empty() {
+            return Err("ARP requires non-empty V");
+        }
+        if !f.is_disjoint(&v) {
+            return Err("F and V must be disjoint");
+        }
+        if agg_attr.is_some_and(|a| f.contains(&a) || v.contains(&a)) {
+            return Err("A must not be in F ∪ V");
+        }
+        Ok(Arp { f: f.into_iter().collect(), v: v.into_iter().collect(), agg, agg_attr, model })
     }
 
     /// Partition attributes `F`, sorted.

@@ -7,14 +7,12 @@
 //! recomputed from the relation at load time (one group-by per `F ∪ V`,
 //! far cheaper than mining, which also had to enumerate/sort/fit).
 
-use crate::group_data::GroupData;
-use crate::pattern::Arp;
-use crate::store::{fold_dev_bounds, LocalPattern, PatternInstance, PatternStore};
+use crate::snapshot::{rebuild_store, PatternRecord, RebuildError};
+use crate::store::{LocalPattern, PatternStore};
 use cape_data::{AggFunc, AttrId, Relation, Value};
 use cape_regress::{Fitted, Model, ModelType};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::sync::Arc;
 
 /// Errors from reading a persisted store.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,7 +233,8 @@ fn field<'a>(parts: &'a [(&str, &str)], name: &str, line: usize) -> Result<&'a s
         .ok_or_else(|| PersistError::Parse { line, message: format!("missing field `{name}`") })
 }
 
-/// Deserialize a store, recomputing the shared group data from `rel`.
+/// Deserialize a store, recomputing the shared group data from `rel`. A
+/// pattern that breaks an ARP invariant is a parse error at its line.
 pub fn read_store<R: Read>(r: R, rel: &Relation) -> Result<PatternStore, PersistError> {
     let reader = BufReader::new(r);
     let mut lines = reader.lines().enumerate();
@@ -245,13 +244,8 @@ pub fn read_store<R: Read>(r: R, rel: &Relation) -> Result<PatternStore, Persist
         return Err(PersistError::Parse { line: 1, message: "bad header".into() });
     }
 
-    struct Pending {
-        arp: Arp,
-        confidence: f64,
-        num_supported: usize,
-        locals: HashMap<Vec<Value>, LocalPattern>,
-    }
-    let mut pendings: Vec<Pending> = Vec::new();
+    let mut records: Vec<PatternRecord> = Vec::new();
+    let mut record_lines: Vec<usize> = Vec::new();
 
     for (idx, line) in lines {
         let line_no = idx + 1;
@@ -300,15 +294,20 @@ pub fn read_store<R: Read>(r: R, rel: &Relation) -> Result<PatternStore, Persist
                 let num_supported = field(&parts, "supp", line_no)?.parse().map_err(|_| {
                     PersistError::Parse { line: line_no, message: "bad support".into() }
                 })?;
-                pendings.push(Pending {
-                    arp: Arp::new(f, v, agg, agg_attr, model),
+                records.push(PatternRecord {
+                    f,
+                    v,
+                    agg,
+                    agg_attr,
+                    model,
                     confidence,
                     num_supported,
                     locals: HashMap::new(),
                 });
+                record_lines.push(line_no);
             }
             "local" => {
-                let pending = pendings.last_mut().ok_or(PersistError::Parse {
+                let record = records.last_mut().ok_or(PersistError::Parse {
                     line: line_no,
                     message: "local before pattern".into(),
                 })?;
@@ -338,7 +337,7 @@ pub fn read_store<R: Read>(r: R, rel: &Relation) -> Result<PatternStore, Persist
                     message: "missing model".into(),
                 })?;
                 let model = decode_model(&rest[model_pos + 7..], line_no)?;
-                pending.locals.insert(
+                record.locals.insert(
                     key?,
                     LocalPattern {
                         fitted: Fitted { model, gof, n: support },
@@ -357,56 +356,12 @@ pub fn read_store<R: Read>(r: R, rel: &Relation) -> Result<PatternStore, Persist
         }
     }
 
-    // Recompute shared group data per (G, aggs needed).
-    let mut cache: HashMap<Vec<AttrId>, Arc<GroupData>> = HashMap::new();
-    let mut aggs_by_g: HashMap<Vec<AttrId>, Vec<(AggFunc, Option<AttrId>)>> = HashMap::new();
-    for p in &pendings {
-        let g = p.arp.g_attrs();
-        let list = aggs_by_g.entry(g).or_default();
-        let key = (p.arp.agg, p.arp.agg_attr);
-        if !list.contains(&key) {
-            list.push(key);
+    rebuild_store(records, rel).map_err(|e| match e {
+        RebuildError::Invalid { index, why } => {
+            PersistError::Parse { line: record_lines[index], message: why.to_string() }
         }
-    }
-    let arity = rel.schema().arity();
-    let mut store = PatternStore::new();
-    for p in pendings {
-        let g = p.arp.g_attrs();
-        if g.iter().any(|&a| a >= arity) {
-            return Err(PersistError::SchemaMismatch(format!(
-                "pattern references attribute {} but relation has arity {arity}",
-                g.iter().max().unwrap()
-            )));
-        }
-        let gd = match cache.get(&g) {
-            Some(gd) => Arc::clone(gd),
-            None => {
-                let aggs = &aggs_by_g[&g];
-                let gd = Arc::new(
-                    GroupData::compute(rel, &g, aggs)
-                        .map_err(|e| PersistError::SchemaMismatch(e.to_string()))?,
-                );
-                cache.insert(g.clone(), Arc::clone(&gd));
-                gd
-            }
-        };
-        let agg_col = gd
-            .agg_col(p.arp.agg, p.arp.agg_attr)
-            .ok_or_else(|| PersistError::SchemaMismatch("aggregate column missing".into()))?;
-        let mut inst = PatternInstance {
-            arp: p.arp,
-            data: gd,
-            agg_col,
-            locals: p.locals,
-            confidence: p.confidence,
-            num_supported: p.num_supported,
-            max_pos_dev: 0.0,
-            max_neg_dev: 0.0,
-        };
-        fold_dev_bounds(&mut inst);
-        store.push(inst);
-    }
-    Ok(store)
+        RebuildError::Schema(m) => PersistError::SchemaMismatch(m),
+    })
 }
 
 #[cfg(test)]

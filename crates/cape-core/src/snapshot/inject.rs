@@ -8,7 +8,8 @@
 //! inputs (plus an explicit seed for the sampled bit flips), so a failing
 //! case reproduces from its `Fault` value alone.
 
-use super::SnapshotLayout;
+use super::codec::crc32;
+use super::{layout, SnapshotLayout, FOOTER_MAGIC};
 use std::ops::Range;
 
 /// One mutation of a byte string.
@@ -192,6 +193,29 @@ pub fn span_swaps(spans: &[Range<usize>]) -> Vec<Fault> {
 /// One duplication per span — each record replayed once.
 pub fn span_duplications(spans: &[Range<usize>]) -> Vec<Fault> {
     spans.iter().cloned().map(Fault::DuplicateRange).collect()
+}
+
+/// Re-frame a valid snapshot with section `name`'s payload passed
+/// through `edit`, recomputing the section CRC, its length and the file
+/// CRC: a file every checksum accepts, for reaching the payload decoders
+/// behind them. An edit that changes the payload length shifts the
+/// sections after it, which unaligns a v2 relation section.
+pub fn rewrite_section(bytes: &[u8], name: &str, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let lay = layout(bytes).expect("a valid snapshot");
+    let i = lay.sections.iter().position(|(n, _)| *n == name).expect("section present");
+    let frame = &lay.sections[i].1;
+    let mut payload = bytes[lay.payload(i)].to_vec();
+    edit(&mut payload);
+    // Keep the tag; rewrite the length, payload and CRC.
+    let mut out = bytes[..frame.start + 4].to_vec();
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&bytes[frame.end..lay.footer.start]);
+    let file_crc = crc32(&out);
+    out.extend_from_slice(FOOTER_MAGIC);
+    out.extend_from_slice(&file_crc.to_le_bytes());
+    out
 }
 
 #[cfg(test)]

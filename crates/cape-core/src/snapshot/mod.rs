@@ -9,15 +9,19 @@
 //! snapshot instead of re-mining, so start-up cost scales with pattern
 //! count rather than relation size.
 //!
-//! ## File format (version 1)
+//! ## File format
+//!
+//! Both format versions are one framed container; the version picks
+//! the section list. Version 1 holds the schema, config and patterns;
+//! version 2 adds the relation's column slabs (`RELC`, see [`v2`]).
 //!
 //! ```text
 //! ┌─ header ──────────────────────────────────────────────┐
 //! │ magic    8B  b"CAPESNAP"                              │
-//! │ version  u32 LE (1)                                   │
-//! │ sections u32 LE (3)                                   │
-//! ├─ section × 3, fixed order: schema, config, patterns ─┤
-//! │ tag      u32 LE (b"SCHM" / b"CONF" / b"PATS")         │
+//! │ version  u32 LE (1 or 2)                              │
+//! │ sections u32 LE (3 for v1, 4 for v2)                  │
+//! ├─ section × n, fixed order: SCHM, CONF, PATS[, RELC] ─┤
+//! │ tag      u32 LE                                       │
 //! │ len      u64 LE  payload length in bytes              │
 //! │ payload  len bytes                                    │
 //! │ crc32    u32 LE  CRC-32 (IEEE) of the payload         │
@@ -27,10 +31,13 @@
 //! └───────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Only the pattern metadata and fitted models are stored; the
-//! aggregated group data is recomputed from the live relation at load
-//! time (one group-by per `F ∪ V` — far cheaper than mining, which also
-//! had to enumerate, sort, and fit).
+//! `encode` is the one framing encoder and [`layout`] the one parser:
+//! every reader decodes its payloads from the ranges `layout` returns.
+//! Loading against a live relation ([`load_snapshot`]) reads either
+//! version and recomputes the aggregated group data from that relation
+//! (one group-by per `F ∪ V` — far cheaper than mining, which also had
+//! to enumerate, sort, and fit); a v2 file's embedded relation is only
+//! decoded by the v2 loaders.
 //!
 //! ## Durability protocol
 //!
@@ -44,25 +51,28 @@
 //! ## Failure taxonomy
 //!
 //! Every way a file can fail to load maps to one [`SnapshotError`]
-//! variant — never a panic, hang, or silently wrong store. The
-//! `snapshot::inject` fault-injection harness and the
-//! `store_corruption` test matrix enforce this byte-by-byte.
+//! variant — never a panic, hang, or silently wrong store. That includes
+//! files whose CRCs are valid but whose patterns break an ARP invariant
+//! (`SectionCorrupt { section: "patterns" }`). The `snapshot::inject`
+//! fault-injection harness and the `store_corruption` test matrix
+//! enforce this byte-by-byte for both versions.
 
 pub mod codec;
 pub mod inject;
 pub mod v2;
 
 pub use v2::{
-    load_relation_v2, load_snapshot_auto, load_snapshot_v2, read_snapshot_v2, save_snapshot_v2,
-    snapshot_version, SnapshotV2Contents, FORMAT_VERSION_V2,
+    load_relation_v2, load_snapshot_v2, read_snapshot_v2, save_snapshot_v2, SnapshotV2Contents,
+    FORMAT_VERSION_V2,
 };
 
 use crate::config::{AggSelection, MiningConfig, Thresholds};
 use crate::group_data::GroupData;
 use crate::pattern::Arp;
 use crate::store::{fold_dev_bounds, LocalPattern, PatternInstance, PatternStore};
+use cape_data::mmap::MapRegion;
 use cape_data::{AggFunc, AttrId, Relation, Schema, Value};
-use cape_regress::Fitted;
+use cape_regress::{Fitted, ModelType};
 use codec::{ByteReader, ByteWriter, WireError};
 use std::collections::HashMap;
 use std::io::Write;
@@ -77,13 +87,34 @@ pub const FOOTER_MAGIC: &[u8; 8] = b"CAPECMIT";
 /// The v1 format version (patterns only; relation recomputed from CSV).
 pub const FORMAT_VERSION: u32 = 1;
 
-pub(crate) const TAG_SCHEMA: u32 = u32::from_le_bytes(*b"SCHM");
-pub(crate) const TAG_CONFIG: u32 = u32::from_le_bytes(*b"CONF");
-pub(crate) const TAG_PATTERNS: u32 = u32::from_le_bytes(*b"PATS");
+/// `(tag, display name)` of every section, in file order. Version 1
+/// holds the first three, version 2 all four.
+const SECTIONS: [(u32, &str); 4] = [
+    (u32::from_le_bytes(*b"SCHM"), "schema"),
+    (u32::from_le_bytes(*b"CONF"), "config"),
+    (u32::from_le_bytes(*b"PATS"), "patterns"),
+    (u32::from_le_bytes(*b"RELC"), "relation"),
+];
+const SCHEMA: usize = 0;
+const CONFIG: usize = 1;
+const PATTERNS: usize = 2;
+const RELATION: usize = 3;
 
-/// `(tag, display name)` for the three v1 sections, in file order.
-const SECTIONS: [(u32, &str); 3] =
-    [(TAG_SCHEMA, "schema"), (TAG_CONFIG, "config"), (TAG_PATTERNS, "patterns")];
+/// Magic, version and section count.
+const HEADER_LEN: usize = 16;
+/// Tag and length before each payload.
+const FRAME_PREFIX: usize = 12;
+/// The payload CRC after it.
+const FRAME_SUFFIX: usize = 4;
+
+/// The section list a format version carries.
+fn sections_of(version: u32) -> Result<&'static [(u32, &'static str)], SnapshotError> {
+    match version {
+        FORMAT_VERSION => Ok(&SECTIONS[..3]),
+        FORMAT_VERSION_V2 => Ok(&SECTIONS),
+        found => Err(SnapshotError::VersionUnsupported { found }),
+    }
+}
 
 /// Why a snapshot was rejected. One variant per failure class so callers
 /// (the CLI's exit code 3, `cape-serve` construction, the corruption
@@ -100,7 +131,7 @@ pub enum SnapshotError {
     /// A section failed its structural or CRC check.
     SectionCorrupt {
         /// Which section (`"header"`, `"schema"`, `"config"`,
-        /// `"patterns"`, or `"footer"`).
+        /// `"patterns"`, `"relation"`, or `"footer"`).
         section: &'static str,
     },
     /// The file ends early or its commit marker is missing (torn write).
@@ -115,14 +146,11 @@ impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SnapshotError::BadMagic => f.write_str("bad magic (not a cape snapshot)"),
-            SnapshotError::VersionUnsupported { found } => {
-                write!(
-                    f,
-                    "unsupported snapshot version {found} (this build reads v{FORMAT_VERSION}; \
-                     v{} via the v2 loader)",
-                    v2::FORMAT_VERSION_V2
-                )
-            }
+            SnapshotError::VersionUnsupported { found } => write!(
+                f,
+                "unsupported snapshot version {found} \
+                 (this build reads v{FORMAT_VERSION} and v{FORMAT_VERSION_V2})"
+            ),
             SnapshotError::SectionCorrupt { section } => write!(f, "section corrupt: {section}"),
             SnapshotError::Truncated => f.write_str("truncated snapshot (missing commit marker)"),
             SnapshotError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
@@ -136,6 +164,8 @@ impl std::error::Error for SnapshotError {}
 /// What a snapshot contains after validation against a live relation.
 #[derive(Debug, Clone)]
 pub struct SnapshotContents {
+    /// The format version the file was written in.
+    pub version: u32,
     /// The relation schema recorded at save time (validated to match the
     /// live relation on load).
     pub schema: Schema,
@@ -173,7 +203,7 @@ pub fn schema_fingerprint(schema: &Schema) -> u64 {
 
 // --- encoding --------------------------------------------------------------
 
-pub(crate) fn encode_schema_section(schema: &Schema) -> Vec<u8> {
+fn encode_schema_section(schema: &Schema) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(schema_fingerprint(schema));
     w.u32(schema.arity() as u32);
@@ -184,7 +214,7 @@ pub(crate) fn encode_schema_section(schema: &Schema) -> Vec<u8> {
     w.into_bytes()
 }
 
-pub(crate) fn encode_config_section(cfg: &MiningConfig) -> Vec<u8> {
+fn encode_config_section(cfg: &MiningConfig) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.f64(cfg.thresholds.theta);
     w.u64(cfg.thresholds.delta as u64);
@@ -228,7 +258,7 @@ fn write_attr_list(w: &mut ByteWriter, ids: &[AttrId]) {
     }
 }
 
-pub(crate) fn encode_patterns_section(store: &PatternStore) -> Vec<u8> {
+fn encode_patterns_section(store: &PatternStore) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(store.len() as u32);
     for (_, inst) in store.iter() {
@@ -265,15 +295,33 @@ pub(crate) fn encode_patterns_section(store: &PatternStore) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Encode a snapshot to bytes (the pure half of [`save_snapshot`]).
-pub fn encode_snapshot(schema: &Schema, cfg: &MiningConfig, store: &PatternStore) -> Vec<u8> {
-    let payloads =
-        [encode_schema_section(schema), encode_config_section(cfg), encode_patterns_section(store)];
+/// The one framing encoder: the v1 sections, plus the relation section
+/// (making it a v2 file) when `rel` is given. The relation's slabs are
+/// padded to absolute file offsets, so its payload is encoded last, once
+/// the offset it starts at is known.
+pub(crate) fn encode(
+    schema: &Schema,
+    cfg: &MiningConfig,
+    store: &PatternStore,
+    rel: Option<&Relation>,
+) -> Vec<u8> {
+    let mut payloads = vec![
+        encode_schema_section(schema),
+        encode_config_section(cfg),
+        encode_patterns_section(store),
+    ];
+    let mut version = FORMAT_VERSION;
+    if let Some(rel) = rel {
+        let framed: usize = payloads.iter().map(|p| FRAME_PREFIX + p.len() + FRAME_SUFFIX).sum();
+        payloads.push(v2::encode_relation_section(rel, HEADER_LEN + framed + FRAME_PREFIX));
+        version = FORMAT_VERSION_V2;
+    }
+    let sections = sections_of(version).expect("a version this build writes");
     let mut w = ByteWriter::new();
     w.bytes(MAGIC);
-    w.u32(FORMAT_VERSION);
-    w.u32(SECTIONS.len() as u32);
-    for ((tag, _), payload) in SECTIONS.iter().zip(&payloads) {
+    w.u32(version);
+    w.u32(sections.len() as u32);
+    for ((tag, _), payload) in sections.iter().zip(&payloads) {
         w.u32(*tag);
         w.u64(payload.len() as u64);
         w.bytes(payload);
@@ -286,12 +334,20 @@ pub fn encode_snapshot(schema: &Schema, cfg: &MiningConfig, store: &PatternStore
     out
 }
 
-// --- layout (for fault injection and tooling) ------------------------------
+/// Encode a v1 snapshot to bytes (the pure half of [`save_snapshot`]).
+pub fn encode_snapshot(schema: &Schema, cfg: &MiningConfig, store: &PatternStore) -> Vec<u8> {
+    encode(schema, cfg, store, None)
+}
+
+// --- layout: the one container parser --------------------------------------
 
 /// Byte ranges of the structural regions of a snapshot. Produced by
-/// [`layout`]; consumed by the fault injector to mutate *at* boundaries.
+/// [`layout`]; the readers decode its payload ranges, and the fault
+/// injector mutates *at* its boundaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotLayout {
+    /// The declared format version (it picked the section list).
+    pub version: u32,
     /// Magic + version + section count.
     pub header: Range<usize>,
     /// `(section name, full byte range incl. tag/len/crc)` in file order.
@@ -310,40 +366,71 @@ impl SnapshotLayout {
         out.push(self.footer.end);
         out
     }
+
+    /// The payload bytes of section `i` (its frame minus tag, length and
+    /// CRC).
+    pub fn payload(&self, i: usize) -> Range<usize> {
+        let frame = &self.sections[i].1;
+        frame.start + FRAME_PREFIX..frame.end - FRAME_SUFFIX
+    }
 }
 
-/// Parse the structural layout of a *valid* snapshot (bounds-checked but
-/// without CRC validation — the injector needs offsets, not contents).
+/// Parse and validate a snapshot's container: the magic, the section
+/// list its version declares (tags in order, every payload CRC), and the
+/// commit footer with the whole-file CRC. Payloads are not decoded.
 pub fn layout(bytes: &[u8]) -> Result<SnapshotLayout, SnapshotError> {
-    let mut r = ByteReader::new(bytes);
-    r.take(8).map_err(|_| SnapshotError::Truncated)?;
-    r.u32().map_err(|_| SnapshotError::Truncated)?;
-    let n = r.u32().map_err(|_| SnapshotError::Truncated)? as usize;
-    if n != SECTIONS.len() {
-        return Err(SnapshotError::SectionCorrupt { section: "header" });
+    use SnapshotError::{BadMagic, SectionCorrupt, Truncated};
+    // A proper prefix of the magic is a truncation; any other leading
+    // bytes are not a snapshot at all.
+    if bytes.len() < MAGIC.len() && MAGIC.starts_with(bytes) {
+        return Err(Truncated);
     }
-    let header = 0..(bytes.len() - r.remaining());
-    let mut sections = Vec::new();
-    for (_, name) in SECTIONS {
-        let start = bytes.len() - r.remaining();
-        r.take(4).map_err(|_| SnapshotError::Truncated)?;
-        let len = r.u64().map_err(|_| SnapshotError::Truncated)? as usize;
-        r.take(len).map_err(|_| SnapshotError::Truncated)?;
-        r.take(4).map_err(|_| SnapshotError::Truncated)?;
-        sections.push((name, start..(bytes.len() - r.remaining())));
+    if !bytes.starts_with(MAGIC) {
+        return Err(BadMagic);
     }
-    let footer_start = bytes.len() - r.remaining();
-    r.take(12).map_err(|_| SnapshotError::Truncated)?;
-    Ok(SnapshotLayout { header, sections, footer: footer_start..(bytes.len() - r.remaining()) })
+    let trunc = |_: WireError| Truncated;
+    let mut r = ByteReader::new(&bytes[MAGIC.len()..]);
+    let at = |r: &ByteReader| bytes.len() - r.remaining();
+    let version = r.u32().map_err(trunc)?;
+    let expected = sections_of(version)?;
+    if r.u32().map_err(trunc)? as usize != expected.len() {
+        return Err(SectionCorrupt { section: "header" });
+    }
+    let header = 0..at(&r);
+    let mut sections = Vec::with_capacity(expected.len());
+    for &(tag, section) in expected {
+        let start = at(&r);
+        if r.u32().map_err(trunc)? != tag {
+            return Err(SectionCorrupt { section });
+        }
+        let len = usize::try_from(r.u64().map_err(trunc)?).map_err(|_| Truncated)?;
+        let payload = r.take(len).map_err(trunc)?;
+        if r.u32().map_err(trunc)? != codec::crc32(payload) {
+            return Err(SectionCorrupt { section });
+        }
+        sections.push((section, start..at(&r)));
+    }
+    // Footer: commit marker + whole-body CRC. Absence ⇒ the write never
+    // committed (torn write) ⇒ Truncated.
+    let body_end = at(&r);
+    let footer = r.take(FOOTER_MAGIC.len() + 4).map_err(trunc)?;
+    if &footer[..8] != FOOTER_MAGIC {
+        return Err(Truncated);
+    }
+    let file_crc = u32::from_le_bytes(footer[8..].try_into().expect("4 bytes"));
+    if !r.is_empty() || codec::crc32(&bytes[..body_end]) != file_crc {
+        return Err(SectionCorrupt { section: "footer" });
+    }
+    Ok(SnapshotLayout { version, header, sections, footer: body_end..bytes.len() })
 }
 
 // --- decoding --------------------------------------------------------------
 
-pub(crate) fn corrupt(section: &'static str) -> impl Fn(WireError) -> SnapshotError {
+fn corrupt(section: &'static str) -> impl Fn(WireError) -> SnapshotError {
     move |_| SnapshotError::SectionCorrupt { section }
 }
 
-pub(crate) fn decode_schema_section(payload: &[u8]) -> Result<(u64, Schema), SnapshotError> {
+fn decode_schema_section(payload: &[u8]) -> Result<Schema, SnapshotError> {
     let e = corrupt("schema");
     let mut r = ByteReader::new(payload);
     let fingerprint = r.u64().map_err(&e)?;
@@ -362,10 +449,10 @@ pub(crate) fn decode_schema_section(payload: &[u8]) -> Result<(u64, Schema), Sna
     if schema_fingerprint(&schema) != fingerprint {
         return Err(SnapshotError::SectionCorrupt { section: "schema" });
     }
-    Ok((fingerprint, schema))
+    Ok(schema)
 }
 
-pub(crate) fn decode_config_section(payload: &[u8]) -> Result<MiningConfig, SnapshotError> {
+fn decode_config_section(payload: &[u8]) -> Result<MiningConfig, SnapshotError> {
     let e = corrupt("config");
     let mut r = ByteReader::new(payload);
     let theta = r.f64().map_err(&e)?;
@@ -419,8 +506,16 @@ pub(crate) fn decode_config_section(payload: &[u8]) -> Result<MiningConfig, Snap
     })
 }
 
-pub(crate) struct PendingPattern {
-    pub(crate) arp: Arp,
+/// One pattern as a store file records it: attribute lists not yet
+/// checked against the ARP invariants or the relation. Both the binary
+/// snapshot and the text format (`persist`) decode into this and hand it
+/// to [`rebuild_store`].
+pub(crate) struct PatternRecord {
+    pub(crate) f: Vec<AttrId>,
+    pub(crate) v: Vec<AttrId>,
+    pub(crate) agg: AggFunc,
+    pub(crate) agg_attr: Option<AttrId>,
+    pub(crate) model: ModelType,
     pub(crate) confidence: f64,
     pub(crate) num_supported: usize,
     pub(crate) locals: HashMap<Vec<Value>, LocalPattern>,
@@ -431,9 +526,7 @@ fn read_attr_list(r: &mut ByteReader) -> Result<Vec<AttrId>, WireError> {
     (0..n).map(|_| r.u32().map(|a| a as AttrId)).collect()
 }
 
-pub(crate) fn decode_patterns_section(
-    payload: &[u8],
-) -> Result<Vec<PendingPattern>, SnapshotError> {
+fn decode_patterns_section(payload: &[u8]) -> Result<Vec<PatternRecord>, SnapshotError> {
     let e = corrupt("patterns");
     let mut r = ByteReader::new(payload);
     let n = r.count(1).map_err(&e)?;
@@ -472,12 +565,7 @@ pub(crate) fn decode_patterns_section(
                 },
             );
         }
-        out.push(PendingPattern {
-            arp: Arp::new(f, v, agg, agg_attr, model),
-            confidence,
-            num_supported,
-            locals,
-        });
+        out.push(PatternRecord { f, v, agg, agg_attr, model, confidence, num_supported, locals });
     }
     if !r.is_empty() {
         return Err(SnapshotError::SectionCorrupt { section: "patterns" });
@@ -486,7 +574,7 @@ pub(crate) fn decode_patterns_section(
 }
 
 /// Check the recorded schema against the live relation's.
-pub(crate) fn validate_schema(recorded: &Schema, live: &Schema) -> Result<(), SnapshotError> {
+fn validate_schema(recorded: &Schema, live: &Schema) -> Result<(), SnapshotError> {
     if schema_fingerprint(recorded) == schema_fingerprint(live) && recorded.arity() == live.arity()
     {
         return Ok(());
@@ -512,29 +600,49 @@ pub(crate) fn validate_schema(recorded: &Schema, live: &Schema) -> Result<(), Sn
     Err(SnapshotError::SchemaMismatch("schema fingerprints differ".into()))
 }
 
-/// Rebuild pattern instances: recompute the shared group data per
-/// `(F ∪ V, aggregates)` from the live relation.
+/// Why [`rebuild_store`] refused a decoded pattern list.
+pub(crate) enum RebuildError {
+    /// Pattern `index` breaks a Definition 2 invariant ([`Arp::try_new`]).
+    Invalid {
+        /// Position of the pattern in the file.
+        index: usize,
+        /// The broken invariant.
+        why: &'static str,
+    },
+    /// The relation cannot back a pattern.
+    Schema(String),
+}
+
+/// Rebuild pattern instances from decoded records: check each against
+/// the ARP invariants, then recompute the shared group data per
+/// `(F ∪ V, aggregates)` from `rel`.
 pub(crate) fn rebuild_store(
-    pendings: Vec<PendingPattern>,
+    records: Vec<PatternRecord>,
     rel: &Relation,
-) -> Result<PatternStore, SnapshotError> {
+) -> Result<PatternStore, RebuildError> {
+    let arps = records
+        .iter()
+        .enumerate()
+        .map(|(index, p)| {
+            Arp::try_new(p.f.iter().copied(), p.v.iter().copied(), p.agg, p.agg_attr, p.model)
+                .map_err(|why| RebuildError::Invalid { index, why })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let mut aggs_by_g: HashMap<Vec<AttrId>, Vec<(AggFunc, Option<AttrId>)>> = HashMap::new();
-    for p in &pendings {
-        let list = aggs_by_g.entry(p.arp.g_attrs()).or_default();
-        let key = (p.arp.agg, p.arp.agg_attr);
-        if !list.contains(&key) {
-            list.push(key);
+    for arp in &arps {
+        let list = aggs_by_g.entry(arp.g_attrs()).or_default();
+        if !list.contains(&(arp.agg, arp.agg_attr)) {
+            list.push((arp.agg, arp.agg_attr));
         }
     }
     let arity = rel.schema().arity();
     let mut cache: HashMap<Vec<AttrId>, Arc<GroupData>> = HashMap::new();
     let mut store = PatternStore::new();
-    for p in pendings {
-        let g = p.arp.g_attrs();
-        if g.iter().any(|&a| a >= arity) {
-            return Err(SnapshotError::SchemaMismatch(format!(
-                "pattern references attribute {} but the relation has arity {arity}",
-                g.iter().max().copied().unwrap_or(0)
+    for (arp, p) in arps.into_iter().zip(records) {
+        let g = arp.g_attrs();
+        if let Some(&a) = g.iter().find(|&&a| a >= arity) {
+            return Err(RebuildError::Schema(format!(
+                "pattern references attribute {a} but the relation has arity {arity}"
             )));
         }
         let gd = match cache.get(&g) {
@@ -542,17 +650,17 @@ pub(crate) fn rebuild_store(
             None => {
                 let gd = Arc::new(
                     GroupData::compute(rel, &g, &aggs_by_g[&g])
-                        .map_err(|e| SnapshotError::SchemaMismatch(e.to_string()))?,
+                        .map_err(|e| RebuildError::Schema(e.to_string()))?,
                 );
-                cache.insert(g.clone(), Arc::clone(&gd));
+                cache.insert(g, Arc::clone(&gd));
                 gd
             }
         };
         let agg_col = gd
-            .agg_col(p.arp.agg, p.arp.agg_attr)
-            .ok_or_else(|| SnapshotError::SchemaMismatch("aggregate column missing".into()))?;
+            .agg_col(arp.agg, arp.agg_attr)
+            .ok_or_else(|| RebuildError::Schema("aggregate column missing".into()))?;
         let mut inst = PatternInstance {
-            arp: p.arp,
+            arp,
             data: gd,
             agg_col,
             locals: p.locals,
@@ -567,98 +675,77 @@ pub(crate) fn rebuild_store(
     Ok(store)
 }
 
-fn read_inner(bytes: &[u8], rel: &Relation) -> Result<SnapshotContents, SnapshotError> {
-    // Header. A short prefix of the valid magic is a truncation, any
-    // other leading bytes are not a snapshot at all.
-    if bytes.len() < MAGIC.len() {
-        return if *bytes == MAGIC[..bytes.len()] {
-            Err(SnapshotError::Truncated)
-        } else {
-            Err(SnapshotError::BadMagic)
-        };
+/// The one decode path. Over a live `rel`, a file of either version is
+/// checked against `rel`'s schema and its store rebuilt from `rel` (the
+/// caller's relation is authoritative — it may have grown past the
+/// snapshot), and an embedded relation is not decoded. Without one, the
+/// file must be v2 and its store is rebuilt over its own relation, whose
+/// slabs alias `region` when given.
+fn decode(
+    bytes: &[u8],
+    rel: Option<&Relation>,
+    region: Option<&Arc<MapRegion>>,
+) -> Result<(SnapshotContents, Option<Relation>), SnapshotError> {
+    let lay = layout(bytes)?;
+    if rel.is_none() && lay.version != FORMAT_VERSION_V2 {
+        return Err(SnapshotError::VersionUnsupported { found: lay.version });
     }
-    let mut r = ByteReader::new(bytes);
-    if r.take(8).expect("checked above") != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.u32().map_err(|_| SnapshotError::Truncated)?;
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::VersionUnsupported { found: version });
-    }
-    let n_sections = r.u32().map_err(|_| SnapshotError::Truncated)?;
-    if n_sections as usize != SECTIONS.len() {
-        return Err(SnapshotError::SectionCorrupt { section: "header" });
-    }
-
-    // Sections, in fixed order, each CRC-checked before decoding.
-    let mut payloads: Vec<&[u8]> = Vec::with_capacity(SECTIONS.len());
-    for (expected_tag, name) in SECTIONS {
-        let tag = r.u32().map_err(|_| SnapshotError::Truncated)?;
-        if tag != expected_tag {
-            return Err(SnapshotError::SectionCorrupt { section: name });
+    let section = |i: usize| &bytes[lay.payload(i)];
+    let schema = decode_schema_section(section(SCHEMA))?;
+    let embedded = match rel {
+        Some(rel) => {
+            validate_schema(&schema, rel.schema())?;
+            None
         }
-        let len = r.u64().map_err(|_| SnapshotError::Truncated)?;
-        let len = usize::try_from(len).map_err(|_| SnapshotError::Truncated)?;
-        if len > r.remaining() {
-            return Err(SnapshotError::Truncated);
+        None => {
+            let relc = lay.payload(RELATION);
+            Some(v2::decode_relation_section(&bytes[relc.clone()], relc.start, &schema, region)?)
         }
-        let payload = r.take(len).expect("length checked");
-        let crc = r.u32().map_err(|_| SnapshotError::Truncated)?;
-        if codec::crc32(payload) != crc {
-            return Err(SnapshotError::SectionCorrupt { section: name });
-        }
-        payloads.push(payload);
-    }
-
-    // Footer: commit marker + whole-body CRC. Absence ⇒ the write never
-    // committed (torn write) ⇒ Truncated.
-    let body_end = bytes.len() - r.remaining();
-    let footer = r.take(12).map_err(|_| SnapshotError::Truncated)?;
-    if &footer[..8] != FOOTER_MAGIC {
-        return Err(SnapshotError::Truncated);
-    }
-    if !r.is_empty() {
-        return Err(SnapshotError::SectionCorrupt { section: "footer" });
-    }
-    let file_crc = u32::from_le_bytes(footer[8..12].try_into().expect("4 bytes"));
-    if codec::crc32(&bytes[..body_end]) != file_crc {
-        return Err(SnapshotError::SectionCorrupt { section: "footer" });
-    }
-
-    // Decode payloads and validate against the live relation.
-    let (_, schema) = decode_schema_section(payloads[0])?;
-    validate_schema(&schema, rel.schema())?;
-    let config = decode_config_section(payloads[1])?;
-    let pendings = decode_patterns_section(payloads[2])?;
-    let store = rebuild_store(pendings, rel)?;
-    Ok(SnapshotContents { schema, config, store })
+    };
+    let config = decode_config_section(section(CONFIG))?;
+    let records = decode_patterns_section(section(PATTERNS))?;
+    let rel = rel.or(embedded.as_ref()).expect("a live or an embedded relation");
+    let store = rebuild_store(records, rel).map_err(|e| match e {
+        RebuildError::Invalid { .. } => SnapshotError::SectionCorrupt { section: "patterns" },
+        RebuildError::Schema(m) => SnapshotError::SchemaMismatch(m),
+    })?;
+    Ok((SnapshotContents { version: lay.version, schema, config, store }, embedded))
 }
 
-/// Decode and validate a snapshot from bytes, recomputing group data
-/// from `rel`. Counts `store.load_ns` / `store.bytes` on success and
-/// `store.corrupt_rejects` on every rejection.
-pub fn read_snapshot(bytes: &[u8], rel: &Relation) -> Result<SnapshotContents, SnapshotError> {
-    let t0 = std::time::Instant::now();
-    let out = read_inner(bytes, rel);
-    match &out {
-        Ok(_) => {
-            cape_obs::observe_ns("store.load_ns", t0.elapsed().as_nanos() as u64);
-            cape_obs::counter_add("store.bytes", bytes.len() as u64);
-        }
-        Err(SnapshotError::Io(_)) => {}
-        Err(_) => cape_obs::counter_add("store.corrupt_rejects", 1),
+/// Count a rejected file in `store.corrupt_rejects` (a filesystem
+/// failure is not a rejection).
+fn count_reject<T>(out: Result<T, SnapshotError>) -> Result<T, SnapshotError> {
+    if matches!(&out, Err(e) if !matches!(e, SnapshotError::Io(_))) {
+        cape_obs::counter_add("store.corrupt_rejects", 1);
     }
     out
 }
 
-/// Load and validate a snapshot file against `rel`.
+/// Decode and validate a snapshot of either version from bytes,
+/// recomputing group data from `rel`. Counts `store.load_ns` /
+/// `store.bytes` on success and `store.corrupt_rejects` on every
+/// rejection.
+pub fn read_snapshot(bytes: &[u8], rel: &Relation) -> Result<SnapshotContents, SnapshotError> {
+    let t0 = std::time::Instant::now();
+    let out = count_reject(decode(bytes, Some(rel), None).map(|(contents, _)| contents));
+    if out.is_ok() {
+        cape_obs::observe_ns("store.load_ns", t0.elapsed().as_nanos() as u64);
+        cape_obs::counter_add("store.bytes", bytes.len() as u64);
+    }
+    out
+}
+
+/// Map a snapshot file of either version (the bytes are read, not
+/// copied) and [`read_snapshot`] it against `rel`.
 pub fn load_snapshot(
     path: impl AsRef<Path>,
     rel: &Relation,
 ) -> Result<SnapshotContents, SnapshotError> {
-    let bytes =
-        std::fs::read(path.as_ref()).map_err(|e| SnapshotError::Io(format!("read: {e}")))?;
-    read_snapshot(&bytes, rel)
+    read_snapshot(map(path.as_ref())?.bytes(), rel)
+}
+
+fn map(path: &Path) -> Result<Arc<MapRegion>, SnapshotError> {
+    MapRegion::open(path).map_err(|e| SnapshotError::Io(format!("read: {e}")))
 }
 
 /// Atomically write a snapshot: encode, write to a sibling temp file,
@@ -778,6 +865,7 @@ mod tests {
         let (rel, cfg, store) = mined();
         let bytes = encode_snapshot(rel.schema(), &cfg, &store);
         let lay = layout(&bytes).unwrap();
+        assert_eq!(lay.version, FORMAT_VERSION);
         assert_eq!(lay.header, 0..16);
         assert_eq!(lay.sections.len(), 3);
         assert_eq!(lay.sections[0].1.start, 16);
@@ -815,9 +903,22 @@ mod tests {
     fn version_and_magic_rejections() {
         let (rel, cfg, store) = mined();
         let mut bytes = encode_snapshot(rel.schema(), &cfg, &store);
-        assert!(matches!(read_snapshot(b"hello world", &rel), Err(SnapshotError::BadMagic)));
-        assert!(matches!(read_snapshot(b"CAPE", &rel), Err(SnapshotError::Truncated)));
-        assert!(matches!(read_snapshot(b"", &rel), Err(SnapshotError::Truncated)));
+        // A proper prefix of the magic is a truncation, anything else is
+        // not a snapshot — whatever its length, from bytes or from a file.
+        let path = std::env::temp_dir().join(format!("cape-magic-{}.cape", std::process::id()));
+        for (head, want) in [
+            (&b"hello world"[..], SnapshotError::BadMagic),
+            (b"hello", SnapshotError::BadMagic),
+            (b"CAPESNAQ", SnapshotError::BadMagic),
+            (b"CAPES", SnapshotError::Truncated),
+            (b"CAPE", SnapshotError::Truncated),
+            (b"", SnapshotError::Truncated),
+        ] {
+            assert_eq!(read_snapshot(head, &rel).unwrap_err(), want, "{head:?}");
+            std::fs::write(&path, head).unwrap();
+            assert_eq!(load_snapshot(&path, &rel).unwrap_err(), want, "{head:?} from a file");
+        }
+        std::fs::remove_file(&path).ok();
         bytes[8] = 99; // version field
         assert!(matches!(
             read_snapshot(&bytes, &rel),

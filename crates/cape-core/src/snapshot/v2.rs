@@ -1,25 +1,9 @@
 //! Snapshot format **version 2**: v1's sections plus an aligned,
 //! mmappable relation section, so a process can cold-start with the full
 //! dataset *and* the mined patterns from one file — no CSV parse, no
-//! per-cell decode.
-//!
-//! ## File format (version 2)
-//!
-//! ```text
-//! ┌─ header ──────────────────────────────────────────────┐
-//! │ magic    8B  b"CAPESNAP"                              │
-//! │ version  u32 LE (2)                                   │
-//! │ sections u32 LE (4)                                   │
-//! ├─ section × 4: schema, config, patterns, relation ────┤
-//! │ tag      u32 LE (SCHM / CONF / PATS / RELC)           │
-//! │ len      u64 LE  payload length in bytes              │
-//! │ payload  len bytes                                    │
-//! │ crc32    u32 LE  CRC-32 (IEEE) of the payload         │
-//! ├─ footer (commit marker) ─────────────────────────────┤
-//! │ magic    8B  b"CAPECMIT"                              │
-//! │ crc32    u32 LE  CRC-32 of every preceding byte       │
-//! └───────────────────────────────────────────────────────┘
-//! ```
+//! per-cell decode. The container (header, framed sections, commit
+//! footer) is the one described in the [parent module](super); version
+//! 2 adds the fourth section, `RELC`.
 //!
 //! The `RELC` payload stores each column's slabs in their exact
 //! in-memory layout, padded so every `i64`/`f64` slab begins at a file
@@ -65,32 +49,17 @@
 //! fall back to an owned byte-swapped decode.
 
 use super::codec::{self, ByteReader, ByteWriter};
-use super::{
-    decode_config_section, decode_patterns_section, decode_schema_section, rebuild_store,
-    validate_schema, write_atomic, SnapshotContents, SnapshotError, FOOTER_MAGIC, MAGIC,
-    TAG_CONFIG, TAG_PATTERNS, TAG_SCHEMA,
-};
+use super::{decode, decode_schema_section, layout, map, write_atomic, SnapshotError, RELATION};
 use crate::config::MiningConfig;
 use crate::store::PatternStore;
 use cape_data::column::{Column, Dict, FloatColumn, IntColumn, NullBitmap, Slab, StrColumn};
 use cape_data::mmap::MapRegion;
 use cape_data::{Relation, Schema};
-use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
 /// The v2 format version (v1 sections + mmappable relation slabs).
 pub const FORMAT_VERSION_V2: u32 = 2;
-
-pub(crate) const TAG_RELATION: u32 = u32::from_le_bytes(*b"RELC");
-
-/// `(tag, display name)` for the four v2 sections, in file order.
-const SECTIONS_V2: [(u32, &str); 4] = [
-    (TAG_SCHEMA, "schema"),
-    (TAG_CONFIG, "config"),
-    (TAG_PATTERNS, "patterns"),
-    (TAG_RELATION, "relation"),
-];
 
 const KIND_INT: u8 = 0;
 const KIND_FLOAT: u8 = 1;
@@ -190,7 +159,7 @@ fn write_nulls(rw: &mut RelcWriter, nulls: &NullBitmap) {
 
 /// Encode the `RELC` payload. `abs0` is the absolute file offset the
 /// payload will start at (needed for alignment padding).
-fn encode_relation_section(rel: &Relation, abs0: usize) -> Vec<u8> {
+pub(super) fn encode_relation_section(rel: &Relation, abs0: usize) -> Vec<u8> {
     let mut rw = RelcWriter { w: ByteWriter::new(), abs0 };
     rw.w.u64(rel.num_rows() as u64);
     rw.w.u32(rel.schema().arity() as u32);
@@ -230,42 +199,13 @@ fn encode_relation_section(rel: &Relation, abs0: usize) -> Vec<u8> {
 }
 
 /// Encode a v2 snapshot to bytes (the pure half of [`save_snapshot_v2`]).
-///
-/// Two-pass: the fixed-size sections are encoded first so the relation
-/// section's absolute payload offset — and therefore its alignment
-/// padding — is known exactly.
 pub fn encode_snapshot_v2(
     schema: &Schema,
     cfg: &MiningConfig,
     store: &PatternStore,
     rel: &Relation,
 ) -> Vec<u8> {
-    let head = [
-        super::encode_schema_section(schema),
-        super::encode_config_section(cfg),
-        super::encode_patterns_section(store),
-    ];
-    // header (16) + three framed sections (12 + len + 4 each) + RELC
-    // frame prefix (12) = absolute offset of the RELC payload.
-    let relc_abs0 = 16 + head.iter().map(|p| 12 + p.len() + 4).sum::<usize>() + 12;
-    let relc = encode_relation_section(rel, relc_abs0);
-
-    let mut w = ByteWriter::new();
-    w.bytes(MAGIC);
-    w.u32(FORMAT_VERSION_V2);
-    w.u32(SECTIONS_V2.len() as u32);
-    for ((tag, _), payload) in SECTIONS_V2.iter().zip(head.iter().chain([&relc])) {
-        w.u32(*tag);
-        w.u64(payload.len() as u64);
-        w.bytes(payload);
-        w.u32(codec::crc32(payload));
-    }
-    let mut out = w.into_bytes();
-    debug_assert_eq!(out.len(), relc_abs0 + relc.len() + 4);
-    let body_crc = codec::crc32(&out);
-    out.extend_from_slice(FOOTER_MAGIC);
-    out.extend_from_slice(&body_crc.to_le_bytes());
-    out
+    super::encode(schema, cfg, store, Some(rel))
 }
 
 /// Atomically write a v2 snapshot (same durability protocol as
@@ -284,64 +224,6 @@ pub fn save_snapshot_v2(
     cape_obs::observe_ns("store.v2.save_ns", t0.elapsed().as_nanos() as u64);
     cape_obs::counter_add("store.v2.bytes", bytes.len() as u64);
     Ok(bytes.len() as u64)
-}
-
-// --- structural parse ------------------------------------------------------
-
-/// Magic/version/section framing + CRC validation for a v2 file.
-/// Returns each section payload's byte range within `bytes`.
-fn parse_v2_sections(bytes: &[u8]) -> Result<Vec<Range<usize>>, SnapshotError> {
-    if bytes.len() < MAGIC.len() {
-        return if *bytes == MAGIC[..bytes.len()] {
-            Err(SnapshotError::Truncated)
-        } else {
-            Err(SnapshotError::BadMagic)
-        };
-    }
-    let mut r = ByteReader::new(bytes);
-    if r.take(8).expect("checked above") != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.u32().map_err(|_| SnapshotError::Truncated)?;
-    if version != FORMAT_VERSION_V2 {
-        return Err(SnapshotError::VersionUnsupported { found: version });
-    }
-    let n_sections = r.u32().map_err(|_| SnapshotError::Truncated)?;
-    if n_sections as usize != SECTIONS_V2.len() {
-        return Err(SnapshotError::SectionCorrupt { section: "header" });
-    }
-    let mut ranges = Vec::with_capacity(SECTIONS_V2.len());
-    for (expected_tag, name) in SECTIONS_V2 {
-        let tag = r.u32().map_err(|_| SnapshotError::Truncated)?;
-        if tag != expected_tag {
-            return Err(SnapshotError::SectionCorrupt { section: name });
-        }
-        let len = r.u64().map_err(|_| SnapshotError::Truncated)?;
-        let len = usize::try_from(len).map_err(|_| SnapshotError::Truncated)?;
-        if len > r.remaining() {
-            return Err(SnapshotError::Truncated);
-        }
-        let start = bytes.len() - r.remaining();
-        let payload = r.take(len).expect("length checked");
-        let crc = r.u32().map_err(|_| SnapshotError::Truncated)?;
-        if codec::crc32(payload) != crc {
-            return Err(SnapshotError::SectionCorrupt { section: name });
-        }
-        ranges.push(start..start + len);
-    }
-    let body_end = bytes.len() - r.remaining();
-    let footer = r.take(12).map_err(|_| SnapshotError::Truncated)?;
-    if &footer[..8] != FOOTER_MAGIC {
-        return Err(SnapshotError::Truncated);
-    }
-    if !r.is_empty() {
-        return Err(SnapshotError::SectionCorrupt { section: "footer" });
-    }
-    let file_crc = u32::from_le_bytes(footer[8..12].try_into().expect("4 bytes"));
-    if codec::crc32(&bytes[..body_end]) != file_crc {
-        return Err(SnapshotError::SectionCorrupt { section: "footer" });
-    }
-    Ok(ranges)
 }
 
 // --- relation decode -------------------------------------------------------
@@ -422,7 +304,7 @@ fn numeric_slab<T: Copy>(
 
 /// Decode the `RELC` payload into columns. `abs0` is the payload's byte
 /// offset within the file; `region` enables zero-copy slab views.
-fn decode_relation_section(
+pub(super) fn decode_relation_section(
     payload: &[u8],
     abs0: usize,
     schema: &Schema,
@@ -508,24 +390,16 @@ fn decode_relation_section(
 
 // --- loading ---------------------------------------------------------------
 
-fn read_v2_inner(
-    bytes: &[u8],
-    region: Option<&Arc<MapRegion>>,
-) -> Result<SnapshotV2Contents, SnapshotError> {
-    let ranges = parse_v2_sections(bytes)?;
-    let (_, schema) = decode_schema_section(&bytes[ranges[0].clone()])?;
-    let config = decode_config_section(&bytes[ranges[1].clone()])?;
-    let relc = ranges[3].clone();
-    let relation = decode_relation_section(&bytes[relc.clone()], relc.start, &schema, region)?;
-    let pendings = decode_patterns_section(&bytes[ranges[2].clone()])?;
-    let store = rebuild_store(pendings, &relation)?;
-    Ok(SnapshotV2Contents { schema, config, store, relation })
+/// Decode a v2 snapshot from a plain byte slice (owned slabs — no
+/// mapping to alias). The mmap path is [`load_snapshot_v2`]. Counts
+/// `store.corrupt_rejects` on rejection.
+pub fn read_snapshot_v2(bytes: &[u8]) -> Result<SnapshotV2Contents, SnapshotError> {
+    super::count_reject(decode(bytes, None, None)).map(into_v2)
 }
 
-/// Decode a v2 snapshot from a plain byte slice (owned slabs — no
-/// mapping to alias). The mmap path is [`load_snapshot_v2`].
-pub fn read_snapshot_v2(bytes: &[u8]) -> Result<SnapshotV2Contents, SnapshotError> {
-    read_v2_inner(bytes, None)
+fn into_v2((c, relation): (super::SnapshotContents, Option<Relation>)) -> SnapshotV2Contents {
+    let relation = relation.expect("decoded without a live relation");
+    SnapshotV2Contents { schema: c.schema, config: c.config, store: c.store, relation }
 }
 
 /// Map a v2 snapshot file and reconstruct its contents with zero-copy
@@ -535,19 +409,12 @@ pub fn read_snapshot_v2(bytes: &[u8]) -> Result<SnapshotV2Contents, SnapshotErro
 /// `store.corrupt_rejects` on rejection.
 pub fn load_snapshot_v2(path: impl AsRef<Path>) -> Result<SnapshotV2Contents, SnapshotError> {
     let t0 = std::time::Instant::now();
-    let region =
-        MapRegion::open(path.as_ref()).map_err(|e| SnapshotError::Io(format!("map: {e}")))?;
-    let out = read_v2_inner(region.bytes(), Some(&region));
-    match &out {
-        Ok(c) => {
-            cape_obs::observe_ns("store.v2.load_ns", t0.elapsed().as_nanos() as u64);
-            cape_obs::counter_add("store.v2.mapped_bytes", region.len() as u64);
-            cape_obs::counter_add("store.v2.relation_rows", c.relation.num_rows() as u64);
-        }
-        Err(SnapshotError::Io(_)) => {}
-        Err(_) => cape_obs::counter_add("store.corrupt_rejects", 1),
-    }
-    out
+    let region = map(path.as_ref())?;
+    let out = super::count_reject(decode(region.bytes(), None, Some(&region))).map(into_v2)?;
+    cape_obs::observe_ns("store.v2.load_ns", t0.elapsed().as_nanos() as u64);
+    cape_obs::counter_add("store.v2.mapped_bytes", region.len() as u64);
+    cape_obs::counter_add("store.v2.relation_rows", out.relation.num_rows() as u64);
+    Ok(out)
 }
 
 /// Map a v2 snapshot and reconstruct **only** the relation (schema +
@@ -555,56 +422,17 @@ pub fn load_snapshot_v2(path: impl AsRef<Path>) -> Result<SnapshotV2Contents, Sn
 /// measured cold-start primitive: its cost is framing + CRC + O(dict)
 /// string decode, independent of row count materialization.
 pub fn load_relation_v2(path: impl AsRef<Path>) -> Result<(Schema, Relation), SnapshotError> {
-    let region =
-        MapRegion::open(path.as_ref()).map_err(|e| SnapshotError::Io(format!("map: {e}")))?;
+    let region = map(path.as_ref())?;
     let bytes = region.bytes();
-    let ranges = parse_v2_sections(bytes)?;
-    let (_, schema) = decode_schema_section(&bytes[ranges[0].clone()])?;
-    let relc = ranges[3].clone();
+    let lay = layout(bytes)?;
+    if lay.version != FORMAT_VERSION_V2 {
+        return Err(SnapshotError::VersionUnsupported { found: lay.version });
+    }
+    let schema = decode_schema_section(&bytes[lay.payload(super::SCHEMA)])?;
+    let relc = lay.payload(RELATION);
     let relation =
         decode_relation_section(&bytes[relc.clone()], relc.start, &schema, Some(&region))?;
     Ok((schema, relation))
-}
-
-/// Peek a snapshot file's declared format version (magic-checked).
-pub fn snapshot_version(path: impl AsRef<Path>) -> Result<u32, SnapshotError> {
-    use std::io::Read;
-    let mut f =
-        std::fs::File::open(path.as_ref()).map_err(|e| SnapshotError::Io(format!("open: {e}")))?;
-    let mut head = [0u8; 12];
-    f.read_exact(&mut head).map_err(|_| SnapshotError::Truncated)?;
-    if &head[..8] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    Ok(u32::from_le_bytes(head[8..12].try_into().expect("4 bytes")))
-}
-
-/// Load a snapshot of either version against a **live** relation:
-/// v1 files go through [`super::load_snapshot`] unchanged; v2 files are
-/// validated against `rel`'s schema and their store is rebuilt from
-/// `rel` (the caller's relation is authoritative — it may have grown
-/// past the snapshot). The embedded v2 relation is *not* decoded here.
-pub fn load_snapshot_auto(
-    path: impl AsRef<Path>,
-    rel: &Relation,
-) -> Result<SnapshotContents, SnapshotError> {
-    let path = path.as_ref();
-    match snapshot_version(path)? {
-        super::FORMAT_VERSION => super::load_snapshot(path, rel),
-        FORMAT_VERSION_V2 => {
-            let region =
-                MapRegion::open(path).map_err(|e| SnapshotError::Io(format!("map: {e}")))?;
-            let bytes = region.bytes();
-            let ranges = parse_v2_sections(bytes)?;
-            let (_, schema) = decode_schema_section(&bytes[ranges[0].clone()])?;
-            validate_schema(&schema, rel.schema())?;
-            let config = decode_config_section(&bytes[ranges[1].clone()])?;
-            let pendings = decode_patterns_section(&bytes[ranges[2].clone()])?;
-            let store = rebuild_store(pendings, rel)?;
-            Ok(SnapshotContents { schema, config, store })
-        }
-        found => Err(SnapshotError::VersionUnsupported { found }),
-    }
 }
 
 #[cfg(test)]
@@ -724,16 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_rejected_by_v1_reader_with_typed_error() {
-        let (rel, cfg, store) = mined();
-        let bytes = encode_snapshot_v2(rel.schema(), &cfg, &store, &rel);
-        match super::super::read_snapshot(&bytes, &rel) {
-            Err(SnapshotError::VersionUnsupported { found: 2 }) => {}
-            other => panic!("expected VersionUnsupported {{ found: 2 }}, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn v1_rejected_by_v2_reader_with_typed_error() {
         let (rel, cfg, store) = mined();
         let bytes = super::super::encode_snapshot(rel.schema(), &cfg, &store);
@@ -744,22 +562,24 @@ mod tests {
     }
 
     #[test]
-    fn auto_loader_reads_both_versions() {
+    fn live_loader_reads_both_versions() {
         let (rel, cfg, store) = mined();
-        let p1 = tmp("auto_v1.cape");
-        let p2 = tmp("auto_v2.cape");
+        let p1 = tmp("live_v1.cape");
+        let p2 = tmp("live_v2.cape");
         super::super::save_snapshot(&p1, rel.schema(), &cfg, &store).unwrap();
         save_snapshot_v2(&p2, rel.schema(), &cfg, &store, &rel).unwrap();
-        assert_eq!(snapshot_version(&p1).unwrap(), 1);
-        assert_eq!(snapshot_version(&p2).unwrap(), 2);
-        let a = load_snapshot_auto(&p1, &rel).unwrap();
-        let b = load_snapshot_auto(&p2, &rel).unwrap();
+        let a = super::super::load_snapshot(&p1, &rel).unwrap();
+        let b = super::super::load_snapshot(&p2, &rel).unwrap();
+        assert_eq!((a.version, b.version), (1, FORMAT_VERSION_V2));
         assert_eq!(a.store.len(), store.len());
         assert_eq!(b.store.len(), store.len());
         for ((_, x), (_, y)) in a.store.iter().zip(b.store.iter()) {
             assert_eq!(x.arp, y.arp);
             assert_eq!(x.locals, y.locals);
         }
+        // The byte reader dispatches on the version the same way.
+        let bytes = encode_snapshot_v2(rel.schema(), &cfg, &store, &rel);
+        assert_eq!(super::super::read_snapshot(&bytes, &rel).unwrap().version, FORMAT_VERSION_V2);
         std::fs::remove_file(&p1).ok();
         std::fs::remove_file(&p2).ok();
     }

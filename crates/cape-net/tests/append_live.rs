@@ -313,3 +313,62 @@ fn swap_retargets_incremental_backing() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A snapshot whose CRCs are all valid but whose first pattern breaks an
+/// ARP invariant (F ∩ V ≠ ∅) is a 400 `bad_snapshot` on an incremental
+/// slot — not a panic that poisons the slot's lock — so a later swap to
+/// a valid file and an append both still succeed.
+#[test]
+fn hostile_snapshot_swap_leaves_the_slot_usable() {
+    let full = generate(&DblpConfig::with_rows(1100));
+    let base = full.take(&(0..1000).collect::<Vec<_>>());
+    let mcfg = mining_config();
+    let base_store = ShareGrpMiner.mine(&base, &mcfg).expect("mine").store;
+
+    let dir = std::env::temp_dir().join(format!("cape-append-hostile-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let valid = dir.join("valid.cape");
+    let hostile = dir.join("hostile.cape");
+    save_snapshot(&valid, base.schema(), &mcfg, &base_store).expect("save");
+    let bytes = std::fs::read(&valid).unwrap();
+    let overlapping = cape_core::snapshot::inject::rewrite_section(&bytes, "patterns", |p| {
+        assert_eq!(p[4..8], 1u32.to_le_bytes(), "first pattern has one F attribute");
+        let f = p[8..12].to_vec();
+        p[16..20].copy_from_slice(&f);
+    });
+    std::fs::write(&hostile, overlapping).unwrap();
+
+    let registry = Arc::new(StoreRegistry::new());
+    let incr = IncrStore::open(&valid, &base).expect("open incremental");
+    registry.register_incremental("dblp", base.clone(), incr, ServeConfig::with_threads(1));
+    let server =
+        Server::bind("127.0.0.1:0", Arc::clone(&registry), NetConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let post = |path: &str, body: Json| {
+        let mut client = Client::connect(addr).expect("connect");
+        client.post_json(path, &body).expect("a response, not a dropped connection")
+    };
+    let swap_to = |p: &std::path::Path| {
+        Json::Obj(vec![("path".into(), Json::Str(p.to_string_lossy().into_owned()))])
+    };
+
+    let resp = post("/admin/stores/dblp/swap", swap_to(&hostile));
+    assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
+    let json = resp.json().expect("valid JSON");
+    let error = json.get("error").expect("error object");
+    assert_eq!(error.get("kind").and_then(Json::as_str), Some("bad_snapshot"));
+
+    let resp = post("/admin/stores/dblp/swap", swap_to(&valid));
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    let rows = (1000..1100).map(|i| Json::Arr(full.row(i).iter().map(value_to_json).collect()));
+    let resp = post(
+        "/admin/stores/dblp/append",
+        Json::Obj(vec![("rows".into(), Json::Arr(rows.collect()))]),
+    );
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    assert_eq!(resp.json().unwrap().get("appended_rows").and_then(Json::as_u64), Some(100));
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}

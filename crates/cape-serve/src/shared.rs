@@ -46,7 +46,7 @@ impl PatternStoreHandle {
         path: impl AsRef<std::path::Path>,
         relation: Relation,
     ) -> Result<Self, cape_core::snapshot::SnapshotError> {
-        let loaded = cape_core::snapshot::load_snapshot_auto(path, &relation)?;
+        let loaded = cape_core::snapshot::load_snapshot(path, &relation)?;
         Ok(PatternStoreHandle::new(relation, loaded.store))
     }
 
